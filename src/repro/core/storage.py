@@ -3,10 +3,18 @@
 A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.tiling`), the per-tile format assignment (from
 :mod:`repro.core.selection`) and the seven format payloads (from
-:mod:`repro.formats`).  At build time it also precomputes the
-gather/scatter index arrays that make the vectorised SpMV a single
-``bincount`` — the inspector-executor split: payloads are the stored
-truth, gathers are the compiled kernel.
+:mod:`repro.formats`).  At build time it decodes the payloads into
+gather streams and compiles them into one CSR operand that executes
+every product — the inspector-executor split: payloads are the stored
+truth, the operand is the compiled kernel.
+
+The operand keeps, within each row, the canonical tile-major order of
+the decode streams, so ``op @ x`` sums each output row in exactly that
+order; ``op.T @ x`` (a CSC matvec over the same arrays) sums each
+output column in ascending row order, the canonical (col, row)
+transpose order.  Its ``indptr``/``indices`` and the permutation
+from stream to operand order are structural, built once per structure
+and shared by every :meth:`TileMatrix.with_values` clone.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.gpu import faults
 from repro.gpu.costmodel import RunCost
 from repro.util.segments import repeat_offsets
 
-__all__ = ["TileMatrix"]
+__all__ = ["TileMatrix", "stream_operand", "stream_structure"]
 
 _ENCODERS = {
     FormatID.CSR: encode_csr,
@@ -58,6 +66,37 @@ def _decode_with_tiles(fmt: FormatID, payload) -> tuple[np.ndarray, np.ndarray, 
     return payload.decode()
 
 
+def _tile_major_order(gid_parts: list[np.ndarray]) -> np.ndarray:
+    """Stable sort of the concatenated per-format decode streams by tile id."""
+    return np.argsort(np.concatenate(gid_parts), kind="stable")
+
+
+def stream_structure(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR structure of a ``(rows, cols)`` contribution stream.
+
+    scipy's COO->CSR conversion is a stable counting sort by row (it
+    sorts a row's columns only when they do not already ascend), so a
+    stream whose rows ascend in column, like the tile-major decode
+    order, keeps its order within each row.  ``data`` holds each entry's
+    position in the stream: :func:`stream_operand` gathers values
+    through it, and ``.tocsc().data`` (another stable counting sort)
+    lists the stream positions in (col, row) order.
+    """
+    dtype = np.int32 if rows.size < 2**31 else np.int64
+    return sp.csr_matrix((np.arange(rows.size, dtype=dtype), (rows, cols)), shape=shape)
+
+
+def stream_operand(structure: sp.csr_matrix, vals: np.ndarray) -> sp.csr_matrix:
+    """The executor operand: ``structure`` filled with stream-order ``vals``.
+
+    Shares ``indptr``/``indices`` with ``structure``; only ``data`` is new.
+    """
+    return sp.csr_matrix(
+        (vals[structure.data], structure.indices, structure.indptr),
+        shape=structure.shape,
+    )
+
+
 @dataclass
 class TileMatrix:
     """A sparse matrix in the two-level TileSpMV representation."""
@@ -70,19 +109,14 @@ class TileMatrix:
     _y_idx: np.ndarray | None = field(default=None, repr=False)
     _x_idx: np.ndarray | None = field(default=None, repr=False)
     _vals: np.ndarray | None = field(default=None, repr=False)
-    # Inspector-executor product of the decoded entries, built lazily on
-    # the first spmm (a structural artifact: reused by every block).
-    _spmm_csr: sp.csr_matrix | None = field(default=None, repr=False)
+    # The executor: stream_structure of the gathers (structural, shared
+    # by value clones) and the operand filled from _vals.
+    _structure: sp.csr_matrix | None = field(default=None, repr=False)
+    _op: sp.csr_matrix | None = field(default=None, repr=False)
     # Structural maps driving the with_values fast path, built lazily on
     # the first call and shared by every value-only clone.
     _value_maps: dict | None = field(default=None, repr=False)
     _decode_perm: np.ndarray | None = field(default=None, repr=False)
-    # Permutation applied to the concatenated decode streams to put the
-    # gathers in canonical tile-major order (set by _build_gathers).
-    _gather_order: np.ndarray | None = field(default=None, repr=False)
-    # Lazy (col, row)-sorted view of the gathers for the canonical
-    # transpose accumulation order (structural; shared by value clones).
-    _t_order: np.ndarray | None = field(default=None, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -143,13 +177,14 @@ class TileMatrix:
             + view.lcol.astype(np.int64)
         )
         maps: dict = {}
-        perm_parts = []
+        perm_parts, gid_parts = [], []
         for fmt, payload in self.payloads.items():
             t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
             keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
             vidx = np.searchsorted(view_keys, keys)
             perm_parts.append(vidx)
+            gid_parts.append(gid)
             if fmt == FormatID.HYB:
                 # HYB decodes its ELL part (mask-compacted) then its COO
                 # part (dense); split the map at the seam.
@@ -159,11 +194,13 @@ class TileMatrix:
                 maps[fmt] = ("masked", np.flatnonzero(payload.valid), vidx)
             else:
                 maps[fmt] = ("dense", vidx)
-        perm = np.concatenate(perm_parts) if perm_parts else np.zeros(0, dtype=np.int64)
-        # The gathers were reordered into canonical tile-major order at
-        # build time; the view->gather-slot permutation must follow.
-        if self._gather_order is not None:
-            perm = perm[self._gather_order]
+        # The gathers are in canonical tile-major order (_build_gathers);
+        # the view->gather-slot permutation must follow.
+        perm = (
+            np.concatenate(perm_parts)[_tile_major_order(gid_parts)]
+            if perm_parts
+            else np.zeros(0, dtype=np.int64)
+        )
         self._value_maps, self._decode_perm = maps, perm
         return maps, perm
 
@@ -172,13 +209,13 @@ class TileMatrix:
 
         ``new_view_val`` is in the tile-sorted (tileset view) order.
         The tile decomposition, format assignment and every index array
-        are shared by reference; only the payload value slots and the
-        precomputed ``_vals`` gather are refilled, through the maps from
-        :meth:`_value_slot_maps` — the ``update_values`` fast path for
-        iterative workloads where the sparsity pattern is fixed but the
-        numbers change.  Returns a new object (cached plans may share
-        the old payloads); the lazy ``_spmm_csr`` product is dropped so
-        the next :meth:`spmm` reassembles it from the new values.
+        are shared by reference; only the payload value slots, the
+        ``_vals`` gather and the operand's ``data`` are refilled, through
+        the maps from :meth:`_value_slot_maps` — the ``update_values``
+        fast path for iterative workloads where the sparsity pattern is
+        fixed but the numbers change.  The clone shares the operand's
+        structure with this matrix.  Returns a new object (cached plans
+        may share the old payloads and operand).
         """
         tileset = self.tileset.with_values(new_view_val)
         new_view_val = tileset.view.val  # canonical float64, size-checked
@@ -213,8 +250,8 @@ class TileMatrix:
         clone._vals = new_view_val[perm]
         clone._value_maps = maps
         clone._decode_perm = perm
-        clone._gather_order = self._gather_order
-        clone._t_order = self._t_order
+        clone._structure = self._structure
+        clone._op = stream_operand(self._structure, clone._vals)
         return clone
 
     def _build_gathers(self) -> None:
@@ -234,7 +271,9 @@ class TileMatrix:
         per-tile sequences, so a sharded engine can replay the exact
         single-device summation order from its shards' streams.  That
         invariant is what `repro.dist` builds its bit-for-bit reduction
-        on.
+        on.  The operand is compiled from these streams here, once per
+        structure.  Gather indices are int32 whenever the shape allows,
+        halving their footprint.
         """
         ys, xs, vs, gs = [], [], [], []
         tile = self.tileset.tile
@@ -245,17 +284,18 @@ class TileMatrix:
             xs.append(self.tileset.tile_colidx[gid] * tile + lcol.astype(np.int64))
             vs.append(val)
             gs.append(gid)
+        idx_dtype = np.int32 if max(self.shape) < 2**31 else np.int64
         if ys:
-            order = np.argsort(np.concatenate(gs), kind="stable")
-            self._y_idx = np.concatenate(ys)[order]
-            self._x_idx = np.concatenate(xs)[order]
+            order = _tile_major_order(gs)
+            self._y_idx = np.concatenate(ys)[order].astype(idx_dtype)
+            self._x_idx = np.concatenate(xs)[order].astype(idx_dtype)
             self._vals = np.concatenate(vs)[order]
-            self._gather_order = order
         else:
-            self._y_idx = np.zeros(0, dtype=np.int64)
-            self._x_idx = np.zeros(0, dtype=np.int64)
+            self._y_idx = np.zeros(0, dtype=idx_dtype)
+            self._x_idx = np.zeros(0, dtype=idx_dtype)
             self._vals = np.zeros(0)
-            self._gather_order = np.zeros(0, dtype=np.int64)
+        self._structure = stream_structure(self._y_idx, self._x_idx, self.shape)
+        self._op = stream_operand(self._structure, self._vals)
 
     # -- basic properties ----------------------------------------------------
 
@@ -273,84 +313,66 @@ class TileMatrix:
 
     # -- numerics ------------------------------------------------------------
 
+    def _operand(self) -> sp.csr_matrix:
+        """The operand a product runs on.
+
+        An armed GPU-substrate campaign corrupts the decode-order values
+        (so injection draws are independent of the operand layout) and
+        runs them through a throwaway operand sharing the structure; the
+        cached operand never holds injected values.
+        """
+        inj = faults.active_injector()
+        if inj is not None:
+            vals = inj.corrupt_payload(self._vals, kind="tile_payload")
+            if vals is not self._vals:
+                return stream_operand(self._structure, vals)
+        return self._op
+
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x through the tiled representation."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.tileset.n,):
             raise ValueError(f"x must have shape ({self.tileset.n},)")
-        vals = self._vals
-        inj = faults.active_injector()
-        if inj is not None:
-            vals = inj.corrupt_payload(vals, kind="tile_payload")
-        return np.bincount(
-            self._y_idx, weights=vals * x[self._x_idx], minlength=self.tileset.m
-        )
+        return self._operand() @ x
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
         """y = A.T @ x through the tiled representation.
 
-        The gather arrays are direction-agnostic (row and column indices
-        swap roles), so the transposed product costs the same single
-        bincount — the benefit of keeping tiles as 2D objects rather
-        than row fragments.
-
-        Accumulation runs in **canonical (col, row) order** via a cached
-        structural sort.  Tile-major order is already ascending-column
-        *per row* for every format (which is what makes :meth:`spmv`
-        format-independent), but per *column* the ELL/HYB slot-major
-        decode interleaves rows; sorting makes the transposed summation
-        a pure function of the sparsity structure too, so reordered and
-        sharded plans can replay it bit-for-bit.
+        The same operand runs transposed — the benefit of keeping tiles
+        as 2D objects rather than row fragments.  Each output column
+        accumulates in **canonical (col, row) order**: per column the
+        ELL/HYB slot-major decode interleaves rows, but the operand's
+        CSC view visits rows in ascending order, so the transposed
+        summation is a pure function of the sparsity structure and
+        reordered and sharded plans can replay it bit-for-bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.tileset.m,):
             raise ValueError(f"x must have shape ({self.tileset.m},)")
-        if self._t_order is None:
-            self._t_order = np.lexsort((self._y_idx, self._x_idx))
-        o = self._t_order
-        return np.bincount(
-            self._x_idx[o],
-            weights=(self._vals * x[self._y_idx])[o],
-            minlength=self.tileset.n,
-        )
+        return self._op.T @ x
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X for a dense block of vectors (tall-skinny X).
 
-        The natural SpMV extension for block Krylov methods: the same
-        gather indices drive every column, amortising the inspector.
+        The natural SpMV extension for block Krylov methods: the operand
+        streams its structure once for all columns, and each column sums
+        in the same order as a standalone :meth:`spmv`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.tileset.n:
             raise ValueError(f"X must have shape ({self.tileset.n}, k)")
-        inj = faults.active_injector()
-        if inj is not None:
-            # Route the corrupted payload through a throwaway product so
-            # the cached inspector matrix never holds injected values.
-            vals = inj.corrupt_payload(self._vals, kind="tile_payload")
-            if vals is not self._vals:
-                return np.asarray(
-                    sp.csr_matrix((vals, (self._y_idx, self._x_idx)), shape=self.shape) @ x
-                )
-        if self._spmm_csr is None:
-            # Assembled from the *decoded* gathers, so the block product
-            # still exercises the format round-trip; padding slots carry
-            # explicit zeros and cannot change the sums.
-            self._spmm_csr = sp.csr_matrix(
-                (self._vals, (self._y_idx, self._x_idx)), shape=self.shape
-            )
-        return np.asarray(self._spmm_csr @ x)
+        return np.asarray(self._operand() @ x)
 
     def to_csr(self) -> sp.csr_matrix:
-        """Reconstruct a scipy CSR matrix from the encoded payloads."""
-        mat = sp.csr_matrix(
-            (self._vals, (self._y_idx, self._x_idx)), shape=self.shape
-        )
-        mat.sum_duplicates()
+        """Reconstruct a scipy CSR matrix from the encoded payloads.
+
+        A copy of the operand, which :func:`stream_structure` built in
+        canonical form (sorted, no duplicates).
+        """
+        mat = self._op.copy()
         # Padding slots decode as explicit zeros in ELL/Dns; drop them so
         # the round-trip compares structurally equal to the input.
         mat.eliminate_zeros()
-        mat.sort_indices()
         return mat
 
     # -- accounting ------------------------------------------------------------

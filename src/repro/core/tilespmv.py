@@ -61,7 +61,7 @@ from repro.matrices.reorder import ReorderPlan, build_reorder
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.core.scheduler import DEFAULT_TBALANCE, build_schedule
 from repro.core.selection import SelectionConfig, select_formats
-from repro.core.storage import TileMatrix
+from repro.core.storage import TileMatrix, stream_operand, stream_structure
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
 from repro.gpu.costmodel import RunCost
@@ -165,7 +165,11 @@ class TileSpMV:
         self._orig_indptr: np.ndarray | None = None
         self._orig_indices: np.ndarray | None = None
         self._data_perm: np.ndarray | None = None
-        self._t_replay: dict = {}
+        # Per half, the stream structure in original index space (the
+        # reordered transpose's operand; structural, built on first use).
+        self._orig_structures: list | None = None
+        # Per half, the canonical transpose order (see transpose_orders).
+        self._t_perms: tuple | None = None
         if reorder is not None:
             rp = build_reorder(csr, reorder)
             with tele.span("reorder", cat="build", tag=rp.tag):
@@ -445,40 +449,39 @@ class TileSpMV:
         """Transpose through a reordered plan, replayed canonically.
 
         The permuted plan's streams are mapped back to original indices
-        and accumulated in (original col, original row) order — exactly
-        the canonical order :meth:`TileMatrix.spmv_transpose
+        and run through the same executor, an operand in original index
+        space, whose CSC view sums each output column in (original col,
+        original row) order — exactly the canonical order
+        :meth:`TileMatrix.spmv_transpose
         <repro.core.storage.TileMatrix.spmv_transpose>` uses — so the
         summation sequence per output entry is a pure function of the
         original structure and the result is bit-for-bit equal to the
         unreordered engine's (per half; the DeferredCOO split may place
         entries differently under a reorder, so only the single-half
-        methods carry the bit-for-bit guarantee end to end).  The sort
-        permutation is structural and cached across value updates.
+        methods carry the bit-for-bit guarantee end to end).  The
+        operand structure is cached across value updates.
         """
         rp = self.reorder
-        x_work = x[rp.row_perm]
-        n = self._shape[1]
+        streams = self.decode_streams()
+        if self._orig_structures is None:
+            self._orig_structures = [
+                None if st is None else stream_structure(
+                    rp.row_perm[st[0]],
+                    st[1] if rp.col_perm is None else rp.col_perm[st[1]],
+                    self._shape,
+                )
+                for st in streams
+            ]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True, reorder=rp.tag):
             y: np.ndarray | None = None
-            for half, stream in enumerate(self.decode_streams()):
+            for structure, stream in zip(self._orig_structures, streams):
                 if stream is None:
                     continue
-                rows, cols, vals = stream
-                cached = self._t_replay.get(half)
-                if cached is None:
-                    orig_cols = (
-                        cols if rp.col_perm is None else rp.col_perm[cols]
-                    )
-                    order = np.lexsort((rp.row_perm[rows], orig_cols))
-                    cached = (orig_cols[order], order)
-                    self._t_replay[half] = cached
-                sorted_cols, order = cached
-                w = (vals * x_work[rows])[order]
-                yh = np.bincount(sorted_cols, weights=w, minlength=n)
+                yh = stream_operand(structure, stream[2]).T @ x
                 y = yh if y is None else y + yh
             if y is None:
-                y = np.zeros(n)
+                y = np.zeros(self._shape[1])
         if tele.ENABLED:
             tele.count("tilespmv_spmv_total", method=self.method)
         return y
@@ -546,6 +549,26 @@ class TileSpMV:
         if d is not None and d.nnz:
             deferred = (d.entry_rows, d.indices, d.data)
         return tiled, deferred
+
+    def transpose_orders(self):
+        """Per :meth:`decode_streams` half, its canonical transpose order.
+
+        ``None`` or the stream positions sorted by (col, row) — the order
+        :meth:`spmv_transpose` accumulates each output column in.  A
+        sharded replay indexes a shard's stream with it instead of
+        sorting per call.  Each is read off the half's CSR structure by
+        scipy's stable CSR->CSC counting sort, built on first use and
+        kept across :meth:`update_values` (the structure never changes).
+        """
+        if self._t_perms is None:
+            tiled, deferred = self.decode_streams()
+            self._t_perms = (
+                None if tiled is None else self.tiled._structure.tocsc().data,
+                None if deferred is None else stream_structure(
+                    deferred[0], deferred[1], self._shape
+                ).tocsc().data,
+            )
+        return self._t_perms
 
     def update_values(self, values) -> "TileSpMV":
         """Fast path: new numbers, unchanged sparsity pattern.

@@ -64,8 +64,8 @@ from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
 from repro.core.tilespmv import TileSpMV
 from repro.dist import faults as shard_faults
-from repro.dist.reduce import tree_reduce
-from repro.dist.sharded import ShardedSpMV
+from repro.dist.reduce import replay_reduce, tree_reduce
+from repro.dist.sharded import ShardedSpMV, sum_halves
 from repro.gpu import faults as gpu_faults
 from repro.gpu.costmodel import MultiDeviceRunCost
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
@@ -1131,7 +1131,8 @@ class ProcessShardedSpMV(ShardedSpMV):
             buf = self._read_out(s.index, total * k).reshape(total, k)
         pos = 0
         out = []
-        for stream, ln in zip(e.decode_streams(), halves):
+        orders = e.transpose_orders() if transpose else (None, None)
+        for stream, ln, o in zip(e.decode_streams(), halves, orders):
             if ln < 0 or stream is None:
                 out.append(None)
                 continue
@@ -1139,10 +1140,9 @@ class ProcessShardedSpMV(ShardedSpMV):
             w = buf[pos:pos + ln]
             pos += ln
             if transpose:
-                # Mirror _stream_contrib's canonical (col, row) sort; the
+                # Mirror _stream_contrib's canonical (col, row) order; the
                 # worker multiplied element-wise in stream order, and IEEE
                 # multiplication commutes with the permutation.
-                o = np.lexsort((rows, cols))
                 idx, w = (off + cols)[o], w[o]
             else:
                 idx = s.row_lo + rows
@@ -1175,44 +1175,14 @@ class ProcessShardedSpMV(ShardedSpMV):
                     s, e, reply["halves"], transpose, k=k
                 )
         length = self._n if transpose else self._m
-        halves = ([], [])  # (tiled, deferred): per-half [(idx, w), ...]
-        for contrib in contribs:
-            for half, c in zip(halves, contrib):
-                if c is not None:
-                    half.append(c)
-        yt = yd = None
-        for out_idx, half in enumerate(halves):
-            if not half:
-                continue
-            idx = np.concatenate([c[0] for c in half])
-            w = np.concatenate([c[1] for c in half], axis=0)
-            if k is None:
-                y = np.bincount(idx, weights=w, minlength=length)
-            else:
-                # One bincount per column over the shared structural
-                # index stream: column j is bit-for-bit the spmv replay
-                # of x[:, j] (elementwise weights, identical concat and
-                # accumulation order).
-                y = np.column_stack(
-                    [
-                        np.bincount(idx, weights=w[:, j], minlength=length)
-                        for j in range(k)
-                    ]
-                )
-            if out_idx == 0:
-                yt = y
-            else:
-                yd = y
-        if yt is None and yd is None:
-            return (
-                np.zeros(length) if k is None else np.zeros((length, k))
-            )
-        if yd is None:
-            return yt
-        if yt is None:
-            return yd
-        yt += yd
-        return yt
+        # A batched call replays each column over the shared structural
+        # index stream: column j is bit-for-bit the spmv replay of x[:, j].
+        ys = []
+        for half in (0, 1):
+            streams = [c[half] for c in contribs if c[half] is not None]
+            if streams:
+                ys.append(replay_reduce(streams, length))
+        return sum_halves(ys, length if k is None else (length, k))
 
     # -- public ops --------------------------------------------------------
 

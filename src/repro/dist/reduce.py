@@ -28,7 +28,13 @@ guarantees:
 
 The sharded engine uses replay for the fixed strategies (the
 bit-for-bit contract) and the tree for partial-vector combines where no
-stream replay is possible (per-shard ``auto`` arbitration).
+stream replay is possible (per-shard ``auto`` arbitration).  The thread
+and process backends both replay each half through :func:`replay_reduce`;
+transposed streams arrive pre-permuted into (col, row) order by
+:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`.  ``bincount``
+stays the replay primitive: it folds an unsorted grid-order
+concatenation in one pass, over the per-shard streams that shard-level
+fault campaigns corrupt.
 """
 
 from __future__ import annotations
@@ -96,11 +102,21 @@ def replay_reduce(
     every contribution left-to-right — index ``i``'s entries accumulate
     in exactly their stream order.  When the concatenated order equals
     the single-device decode order (tile-snapped cuts guarantee this),
-    the result is bit-for-bit the single-device product.
+    the result is bit-for-bit the single-device product.  ``values``
+    may be ``(entries, k)`` blocks: each column replays independently
+    over the shared index stream, giving a ``(length, k)`` result.
     """
     live = [(i, v) for i, v in streams if i.size]
     if not live:
         return np.zeros(length)
-    idx = np.concatenate([i for i, _ in live])
-    val = np.concatenate([v for _, v in live])
-    return np.bincount(idx, weights=val, minlength=length)
+    if len(live) == 1:
+        idx, val = live[0]
+    else:
+        idx = np.concatenate([i for i, _ in live])
+        val = np.concatenate([v for _, v in live])
+    if val.ndim == 1:
+        return np.bincount(idx, weights=val, minlength=length)
+    return np.column_stack(
+        [np.bincount(idx, weights=val[:, j], minlength=length)
+         for j in range(val.shape[1])]
+    )

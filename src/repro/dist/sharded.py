@@ -8,8 +8,9 @@ All shards may share one :class:`~repro.core.plancache.PlanCache`,
 which is lock-protected for exactly this, and row-disjoint products
 execute concurrently through a
 :class:`~concurrent.futures.ThreadPoolExecutor`.  The shard kernels are
-numpy reductions that release the GIL, so on a multi-core host the
-shards genuinely overlap; the modelled multi-GPU story comes from
+each engine's CSR operand (scipy matvecs) and numpy gathers, which
+release the GIL, so on a multi-core host the shards genuinely overlap;
+the modelled multi-GPU story comes from
 :meth:`multi_device_cost`, whose
 :class:`~repro.gpu.costmodel.MultiDeviceRunCost` makespan combines each
 shard's kernel time with the interconnect traffic the partitioner
@@ -42,9 +43,13 @@ the single-engine product, on every grid shape:
   replay** (:func:`~repro.dist.reduce.replay_reduce`): the shards hand
   over their canonical-order ``(index, value)`` streams
   (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`), and one
-  accumulation pass in grid order replays the exact single-device
-  summation sequence.  Summing rounded per-shard partials could never
-  do this — float addition is not associative.
+  accumulation pass per half in grid order replays the exact
+  single-device summation sequence.  A transposed replay puts each
+  shard's streams in (col, row) order with the engine's cached
+  permutation (:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`),
+  never a per-call sort.  The thread and process backends share this
+  replay stage.  Summing rounded per-shard partials could never do
+  this — float addition is not associative.
 
 ``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
 is its job), which rules replay out; its partial vectors are combined
@@ -74,7 +79,7 @@ from repro.dist.partition import (
     partition_grid,
     partition_rows,
 )
-from repro.dist.reduce import tree_reduce
+from repro.dist.reduce import replay_reduce, tree_reduce
 from repro.formats import FormatID
 from repro.gpu import faults
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
@@ -82,6 +87,21 @@ from repro.gpu.device import A100, DeviceSpec
 from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 
 __all__ = ["ShardedSpMV", "modelled_shard_sweep", "best_shard_count"]
+
+
+def sum_halves(ys: list[np.ndarray], shape) -> np.ndarray:
+    """Combine per-half results the way the single engine does.
+
+    ``ys`` holds the present halves in (tiled, deferred) order; the
+    deferred half is added into the tiled one (``yt += yd``), and no
+    present half gives zeros of ``shape``.
+    """
+    if not ys:
+        return np.zeros(shape)
+    y = ys[0]
+    for other in ys[1:]:
+        y += other
+    return y
 
 
 def _coerce_grid(grid, shards: int) -> tuple[int, int] | None:
@@ -467,8 +487,11 @@ class ShardedSpMV:
         inj = shard_faults.active_injector()
         attempt = max(self.shard_exec_counts[s.index] - 1, 0)
         off = self._col_offset(s)
+        orders = e.transpose_orders() if transpose else (None, None)
         out = []
-        for salt, stream in zip(("tiled", "deferred"), self._shard_raw_streams(s, e)):
+        for salt, stream, o in zip(
+            ("tiled", "deferred"), self._shard_raw_streams(s, e), orders
+        ):
             if stream is None:
                 out.append(None)
                 continue
@@ -486,7 +509,6 @@ class ShardedSpMV:
                 # single-device transpose: shards own contiguous ascending
                 # row/column blocks, so grid-order concatenation of sorted
                 # shard streams replays the global order per output entry.
-                o = np.lexsort((rows, cols))
                 idx, xg, vals = idx[o], xg[o], vals[o]
             out.append((idx, xg, vals))
         return tuple(out)
@@ -513,47 +535,30 @@ class ShardedSpMV:
         Concatenating the shards' canonical-order streams in grid order
         reconstructs, per output entry, the exact accumulation sequence
         of the single-device kernels (tile-major for the tiled half,
-        CSR-entry order for the deferred half); a single ``bincount``
-        pass per half then replays the same left-to-right summation, and
-        the halves combine by the same branch the single engine uses.
-        A GPU-substrate fault campaign corrupts the concatenated value
-        stream exactly once per half, mirroring the unsharded kernels.
-        The recovery ladder calls this with its *verified* contribution
-        list, so a recovered product replays the same clean streams.
+        CSR-entry order for the deferred half); one
+        :func:`~repro.dist.reduce.replay_reduce` pass per half then
+        replays the same left-to-right summation, and the halves combine
+        by the same branch the single engine uses.  A GPU-substrate fault
+        campaign corrupts the concatenated value stream exactly once per
+        half, mirroring the unsharded kernels.  The recovery ladder calls
+        this with its *verified* contribution list, so a recovered
+        product replays the same clean streams.
         """
-        halves = ([], [])  # (tiled, deferred): per-half [idx, x_gather, vals]
-        for contrib in contribs:
-            for half, c in zip(halves, contrib):
-                if c is not None:
-                    half.append(c)
-        tiled, deferred = (
-            None
-            if not half
-            else tuple(np.concatenate(arrs) for arrs in zip(*half))
-            for half in halves
-        )
         inj = faults.active_injector()
-        yt = yd = None
-        if tiled is not None:
-            idx, xg, vals = tiled
+        ys = []
+        for half in (0, 1):
+            parts = [c[half] for c in contribs if c[half] is not None]
+            if not parts:
+                continue
+            idx, xg, vals = (np.concatenate(arrs) for arrs in zip(*parts))
             # The single-device tiled kernel injects on spmv only.
-            if inj is not None and not transpose:
+            if inj is not None and half == 0 and not transpose:
                 vals = inj.corrupt_payload(vals, kind="tile_payload")
-            yt = np.bincount(idx, weights=vals * xg, minlength=length)
-        if deferred is not None:
-            idx, xg, vals = deferred
-            products = vals * xg
-            if inj is not None:
-                products = inj.corrupt_payload(products, kind="csr5_payload")
-            yd = np.bincount(idx, weights=products, minlength=length)
-        if yt is None and yd is None:
-            return np.zeros(length)
-        if yd is None:
-            return yt
-        if yt is None:
-            return yd
-        yt += yd
-        return yt
+            w = vals * xg
+            if inj is not None and half == 1:
+                w = inj.corrupt_payload(w, kind="csr5_payload")
+            ys.append(replay_reduce([(idx, w)], length))
+        return sum_halves(ys, length)
 
     def _replay(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """Bit-for-bit product: collect per-shard streams, replay them."""
@@ -564,16 +569,28 @@ class ShardedSpMV:
     def replay_spmm_streams(self, streams, x: np.ndarray) -> np.ndarray:
         """Combine per-cell raw streams into the batched product.
 
-        Per row block, the cells' streams assemble one CSR operand per
-        half — scipy's canonicalization sorts the entries into exactly
-        the (row, col) order the single-device inspector matrices hold,
-        so each block product equals the corresponding row slice of the
-        unsharded :meth:`TileSpMV.spmm` bit-for-bit.  Like
-        :meth:`replay_contribs`, the recovery ladder feeds this its
-        verified stream list.
+        Assembles the row-block operands of :meth:`_assemble_spmm_blocks`
+        from ``streams`` — with an armed GPU-substrate campaign
+        corrupting each operand's concatenated values — and applies
+        them.  Like :meth:`replay_contribs`, the recovery ladder feeds
+        this its verified stream list.
         """
-        k = x.shape[1]
-        inj = faults.active_injector()
+        blocks = self._assemble_spmm_blocks(streams, faults.active_injector())
+        return self._apply_spmm_blocks(blocks, x)
+
+    def _assemble_spmm_blocks(self, streams, inj=None) -> list:
+        """Per-row-block CSR operands from raw streams.
+
+        Per row block, the cells' streams assemble one CSR operand per
+        half — scipy's stable COO->CSR conversion keeps each row's
+        entries in grid order, which is exactly the (row, col) order the
+        single-device operand holds, so each block product equals the
+        corresponding row slice of the unsharded :meth:`TileSpMV.spmm`
+        bit-for-bit.  A half present anywhere but empty in this row
+        block gets a zero operand that still joins the final add,
+        preserving the reference's bit pattern.  ``inj`` (a GPU-substrate
+        injector) corrupts each operand's concatenated values.
+        """
         part: GridPartition = self.partition
         grid_r, grid_c = part.grid
         has_half = [
@@ -581,60 +598,6 @@ class ShardedSpMV:
             for half in (0, 1)
         ]
         kinds = ("tile_payload", "csr5_payload")
-        blocks = []
-        for r in range(grid_r):
-            rows_r = int(part.row_bounds[r + 1] - part.row_bounds[r])
-            outs = [None, None]
-            for half in (0, 1):
-                if not has_half[half]:
-                    continue
-                idxs, cols, vals = [], [], []
-                for c in range(grid_c):
-                    i = r * grid_c + c
-                    stream = streams[i][half]
-                    if stream is None:
-                        continue
-                    srows, scols, svals = stream
-                    idxs.append(srows)
-                    cols.append(part.shards[i].col_lo + scols)
-                    vals.append(svals)
-                if not idxs:
-                    outs[half] = np.zeros((rows_r, k))
-                    continue
-                v = np.concatenate(vals)
-                if inj is not None:
-                    v = inj.corrupt_payload(v, kind=kinds[half])
-                mat = sp.csr_matrix(
-                    (v, (np.concatenate(idxs), np.concatenate(cols))),
-                    shape=(rows_r, self._n),
-                )
-                outs[half] = np.asarray(mat @ x)
-            bt, bd = outs
-            if bt is None and bd is None:
-                blocks.append(np.zeros((rows_r, k)))
-            elif bd is None:
-                blocks.append(bt)
-            elif bt is None:
-                blocks.append(bd)
-            else:
-                blocks.append(bt + bd)
-        return np.concatenate(blocks, axis=0) if blocks else np.zeros((0, k))
-
-    def _assemble_spmm_blocks(self, streams) -> list:
-        """Per-row-block CSR operands from raw streams (no injection).
-
-        Exactly the assembly :meth:`replay_spmm_streams` performs —
-        including the empty-but-present half (a zero block that still
-        joins the final add, preserving the reference's bit pattern) —
-        hoisted out so consecutive batches reuse the canonicalized
-        operands instead of re-sorting the streams per call.
-        """
-        part: GridPartition = self.partition
-        grid_r, grid_c = part.grid
-        has_half = [
-            any(streams[i][half] is not None for i in range(len(streams)))
-            for half in (0, 1)
-        ]
         blocks = []
         for r in range(grid_r):
             rows_r = int(part.row_bounds[r + 1] - part.row_bounds[r])
@@ -653,17 +616,27 @@ class ShardedSpMV:
                     cols.append(part.shards[i].col_lo + scols)
                     vals.append(svals)
                 if idxs:
+                    v = np.concatenate(vals)
+                    if inj is not None:
+                        v = inj.corrupt_payload(v, kind=kinds[half])
                     mats[half] = sp.csr_matrix(
-                        (
-                            np.concatenate(vals),
-                            (np.concatenate(idxs), np.concatenate(cols)),
-                        ),
+                        (v, (np.concatenate(idxs), np.concatenate(cols))),
                         shape=(rows_r, self._n),
                     )
                 else:
                     mats[half] = sp.csr_matrix((rows_r, self._n))
             blocks.append((rows_r, mats))
         return blocks
+
+    @staticmethod
+    def _apply_spmm_blocks(blocks, x: np.ndarray) -> np.ndarray:
+        """Run assembled row-block operands on ``x`` and stack the blocks."""
+        k = x.shape[1]
+        out = [
+            sum_halves([np.asarray(m @ x) for m in mats if m is not None], (rows_r, k))
+            for rows_r, mats in blocks
+        ]
+        return np.concatenate(out, axis=0) if out else np.zeros((0, k))
 
     def _replay_spmm(self, x: np.ndarray) -> np.ndarray:
         """Bit-for-bit batched product for column-cut grids.
@@ -674,35 +647,19 @@ class ShardedSpMV:
         pays the canonicalization sort once).  An armed fault campaign
         bypasses the cache: corruption must hit fresh streams per call.
         """
-        if (
+        armed = (
             shard_faults.active_injector() is not None
             or faults.active_injector() is not None
-        ):
+        )
+        if armed or self._spmm_replay is None:
             streams = [
                 self.shard_call("stream_collect", s, e, self._shard_raw_streams)
                 for s, e in zip(self.partition.shards, self.engines)
             ]
-            return self.replay_spmm_streams(streams, x)
-        if self._spmm_replay is None:
-            streams = [
-                self.shard_call("stream_collect", s, e, self._shard_raw_streams)
-                for s, e in zip(self.partition.shards, self.engines)
-            ]
+            if armed:
+                return self.replay_spmm_streams(streams, x)
             self._spmm_replay = self._assemble_spmm_blocks(streams)
-        k = x.shape[1]
-        blocks = []
-        for rows_r, mats in self._spmm_replay:
-            bt = None if mats[0] is None else np.asarray(mats[0] @ x)
-            bd = None if mats[1] is None else np.asarray(mats[1] @ x)
-            if bt is None and bd is None:
-                blocks.append(np.zeros((rows_r, k)))
-            elif bd is None:
-                blocks.append(bt)
-            elif bt is None:
-                blocks.append(bd)
-            else:
-                blocks.append(bt + bd)
-        return np.concatenate(blocks, axis=0) if blocks else np.zeros((0, k))
+        return self._apply_spmm_blocks(self._spmm_replay, x)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x.

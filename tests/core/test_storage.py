@@ -7,6 +7,7 @@ from repro.core.selection import select_formats
 from repro.core.storage import TileMatrix
 from repro.core.tiling import tile_decompose
 from repro.formats import FormatID
+from repro.gpu.faults import FaultInjector, FaultPlan, fault_injection
 
 
 def build_adpt(matrix):
@@ -149,3 +150,83 @@ class TestValidateCatchesCorruption:
         tm.tileset.view.offsets[-1] += 5
         with pytest.raises(AssertionError):
             tm.validate()
+
+
+def _fold(idx, weights, length):
+    """Sequential left-to-right accumulation of ``weights`` into ``idx``."""
+    return np.bincount(idx, weights=weights, minlength=length)
+
+
+@pytest.mark.parametrize("tile", [8, 16])
+@pytest.mark.parametrize("forced", [None, FormatID.ELL, FormatID.HYB], ids=["adpt", "ell", "hyb"])
+class TestExecutorOrder:
+    """Every product sums in the decode streams' canonical order.
+
+    The operand is a CSR built by scipy's COO->CSR conversion and run
+    through its CSR/CSC matvecs; if either ever reordered entries within
+    a row or a column, the low bits of these sums would move.  ELL and
+    HYB decode slot-major, so per column their streams interleave rows
+    and the transpose order differs from the decode order.
+    """
+
+    def _build(self, matrix, tile, forced):
+        ts = tile_decompose(matrix, tile=tile)
+        formats = (
+            select_formats(ts) if forced is None
+            else np.full(ts.n_tiles, forced, dtype=np.uint8)
+        )
+        return TileMatrix.build(ts, formats)
+
+    def test_products_bit_equal_to_stream_fold(self, zoo_matrix, tile, forced, rng):
+        tm = self._build(zoo_matrix, tile, forced)
+        m, n = zoo_matrix.shape
+        rows, cols, vals = tm._y_idx, tm._x_idx, tm._vals
+        x = rng.standard_normal(n)
+        assert tm.spmv(x).tobytes() == _fold(rows, vals * x[cols], m).tobytes()
+        xt = rng.standard_normal(m)
+        o = np.lexsort((rows, cols))  # (col, row) order
+        ref_t = _fold(cols[o], (vals * xt[rows])[o], n)
+        assert tm.spmv_transpose(xt).tobytes() == ref_t.tobytes()
+        xs = rng.standard_normal((n, 3))
+        ys = tm.spmm(xs)
+        for j in range(3):
+            ref = _fold(rows, vals * xs[cols, j], m)
+            assert ys[:, j].tobytes() == ref.tobytes()
+
+
+class TestOperandSharing:
+    def test_value_clones_share_structure(self, zoo_matrix, rng):
+        tm = build_adpt(zoo_matrix)
+        clone = tm.with_values(rng.standard_normal(tm.nnz))
+        assert clone._structure is tm._structure
+        assert clone._op.indptr is tm._op.indptr
+        assert np.shares_memory(clone._op.indices, tm._op.indices)
+        assert not np.shares_memory(clone._op.data, tm._op.data)
+
+    def test_engine_transpose_orders_survive_update(self, rng):
+        from repro.core.tilespmv import TileSpMV
+        from repro.matrices import random_uniform
+
+        a = random_uniform(300, 300, nnz_per_row=6, seed=3)
+        engine = TileSpMV(a, method="deferred_coo")
+        before = engine.transpose_orders()
+        assert all(o is not None for o in before)
+        engine.update_values(rng.standard_normal(a.nnz))
+        after = engine.transpose_orders()
+        assert all(b is a_ for b, a_ in zip(before, after))
+
+    @pytest.mark.parametrize("seed", [0, 17, 4242])
+    def test_injection_drawn_on_decode_order_stream(self, zoo_matrix, rng, seed):
+        tm = build_adpt(zoo_matrix)
+        if not tm.nnz:
+            pytest.skip("no payload to corrupt")
+        m = zoo_matrix.shape[0]
+        x = rng.standard_normal(zoo_matrix.shape[1])
+        clean = tm._op.data.copy()
+        plan = FaultPlan(seed=seed, payload_corruptions=2, max_faults=2)
+        corrupted = FaultInjector(plan).corrupt_payload(tm._vals, kind="tile_payload")
+        with fault_injection(plan):
+            y = tm.spmv(x)
+        ref = _fold(tm._y_idx, corrupted * x[tm._x_idx], m)
+        assert y.tobytes() == ref.tobytes()
+        assert tm._op.data.tobytes() == clean.tobytes()

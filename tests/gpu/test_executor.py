@@ -2,7 +2,7 @@
 
 The strongest cross-check in the repository: the instruction-level
 simulation of every warp kernel over the real payload bytes must equal
-the gather/bincount fast path on every zoo matrix and every format mix.
+the vectorised CSR-operand path on every zoo matrix and every format mix.
 """
 
 import numpy as np
