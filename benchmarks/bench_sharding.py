@@ -9,6 +9,7 @@ grid — and reports, per matrix and shard count:
   method ``adpt``), not merely close,
 * **wall time** — one concurrent sharded ``spmv`` vs the unsharded
   engine (median over repeats; threads only help on multi-core hosts),
+  and the sharded ``spmv_transpose`` vs the unsharded one,
 * **model** — the interconnect-aware multi-device makespan, speedup
   and efficiency from :class:`~repro.gpu.costmodel.MultiDeviceRunCost`,
   plus the modelled x-halo traffic on both partitions,
@@ -25,8 +26,11 @@ only applies when the host actually has >= 4 CPUs (the record carries
 a sanity bound on sharding overhead).  A second, host-independent gate
 checks the 2D grid's reason to exist: for the scattered (power-law)
 fixture the modelled halo bytes on the factored grid must *shrink*
-versus the 1D row partition at every P >= 4.  The modelled efficiency
-table is deterministic on any host.
+versus the 1D row partition at every P >= 4.  A third, measured gate
+holds the sharded ``spmv_transpose`` (median wall time) within 2x of
+the single-device ``TileSpMV.spmv_transpose`` at every P on both
+partitions.  The modelled efficiency table is deterministic on any
+host.
 
     PYTHONPATH=src python benchmarks/bench_sharding.py --quick
 """
@@ -48,6 +52,9 @@ from repro.dist import ShardedSpMV, default_grid, modelled_shard_sweep
 from repro.gpu.device import A100, TITAN_RTX
 
 COUNTS = (1, 2, 4, 8)
+# Sharded spmv_transpose wall time must stay within this factor of the
+# single-device transpose, at every P, on the 1D and the grid partition.
+TRANSPOSE_GATE = 2.0
 
 
 def _matrices(quick: bool):
@@ -72,6 +79,22 @@ def _median_wall(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
+
+
+def _transpose_ratio(eng, base, xt, repeats: int) -> tuple[float, float]:
+    """Sharded vs single-device ``spmv_transpose``: (median wall, ratio).
+
+    Samples alternate between the two engines, so a slow spell on the
+    host lands on both sides of the ratio instead of on one.
+    """
+    sharded, single = [], []
+    for _ in range(repeats):
+        for fn, out in ((eng.spmv_transpose, sharded), (base.spmv_transpose, single)):
+            t0 = time.perf_counter()
+            fn(xt)
+            out.append(time.perf_counter() - t0)
+    wall = float(np.median(sharded))
+    return wall, wall / float(np.median(single))
 
 
 def bench_matrix(name, matrix, device, repeats: int) -> dict:
@@ -106,12 +129,17 @@ def bench_matrix(name, matrix, device, repeats: int) -> dict:
             y = eng.spmv(x)
             if not np.array_equal(y, y_ref):
                 raise AssertionError(f"{name}: P={p} sharded spmv is not bit-exact")
+            if not np.array_equal(eng.spmv_transpose(xt), yt_ref):
+                raise AssertionError(f"{name}: P={p} spmv_transpose is not bit-exact")
             wall = _median_wall(lambda: eng.spmv(x), repeats)
+            wall_t, ratio_t = _transpose_ratio(eng, base, xt, 4 * repeats)
             model = sweep[p]
             record = {
                 "shards": p,
                 "wall_s": wall,
                 "wall_speedup": wall_base / wall if wall > 0 else 0.0,
+                "transpose_wall_s": wall_t,
+                "transpose_ratio": ratio_t,
                 "model_makespan_s": model["makespan_s"],
                 "model_speedup": model["speedup"],
                 "model_efficiency": model["efficiency"],
@@ -132,10 +160,13 @@ def bench_matrix(name, matrix, device, repeats: int) -> dict:
                     f"{name}: grid={grid} spmv_transpose is not bit-exact"
                 )
             wall_2d = _median_wall(lambda: eng2.spmv(x), repeats)
+            wall_2d_t, ratio_2d_t = _transpose_ratio(eng2, base, xt, 4 * repeats)
         model_2d = sweep_2d[p]
         record["grid"] = {
             "grid": list(grid),
             "wall_s": wall_2d,
+            "transpose_wall_s": wall_2d_t,
+            "transpose_ratio": ratio_2d_t,
             "model_makespan_s": model_2d["makespan_s"],
             "model_efficiency": model_2d["efficiency"],
             "imbalance": model_2d["imbalance"],
@@ -169,6 +200,8 @@ def main(argv=None) -> int:
                 f"model {s['model_makespan_s'] * 1e6:8.2f} us "
                 f"({s['model_speedup']:5.2f}x, eff {s['model_efficiency']:.2f})  "
                 f"imbalance {s['imbalance']:.2f}  "
+                f"A.T 1D/grid {s['transpose_ratio']:.2f}x/"
+                f"{g['transpose_ratio']:.2f}x  "
                 f"halo 1D {s['halo_bytes_1d'] / 1e3:9.1f} kB -> "
                 f"{g['grid'][0]}x{g['grid'][1]} {g['halo_bytes'] / 1e3:9.1f} kB"
             )
@@ -214,7 +247,23 @@ def main(argv=None) -> int:
         f"{'PASS' if halo_ok else 'FAIL'}"
     )
 
-    ok = wall_ok and halo_ok
+    # Measured gate: the sharded transpose runs the stacked replay
+    # operand, so at every P and on both partitions it must stay within
+    # 2x of the single-device transpose's wall time.
+    transpose_ratios = [
+        ratio
+        for r in rows
+        for s in r["shards"]
+        for ratio in (s["transpose_ratio"], s["grid"]["transpose_ratio"])
+    ]
+    worst_transpose = max(transpose_ratios, default=0.0)
+    transpose_ok = worst_transpose <= TRANSPOSE_GATE
+    transpose_verdict = (
+        f"worst sharded/single spmv_transpose wall ratio {worst_transpose:.2f}x "
+        f"(<= {TRANSPOSE_GATE:g}x): {'PASS' if transpose_ok else 'FAIL'}"
+    )
+
+    ok = wall_ok and halo_ok and transpose_ok
     payload = {
         "device": device.name,
         "quick": args.quick,
@@ -225,12 +274,15 @@ def main(argv=None) -> int:
         "halo_checks": halo_checks,
         "halo_gate_pass": halo_ok,
         "wall_gate_pass": bool(wall_ok),
+        "worst_transpose_ratio": worst_transpose,
+        "transpose_gate_pass": bool(transpose_ok),
         "pass": bool(ok),
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n{verdict}")
     print(halo_verdict)
+    print(transpose_verdict)
     print(f"results written to {args.out}")
     return 0 if ok else 1
 

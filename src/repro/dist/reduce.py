@@ -26,15 +26,18 @@ guarantees:
   tile order regardless of which shard owns the tile), the replayed
   result is **bit-for-bit** the unsharded one, at every grid shape.
 
-The sharded engine uses replay for the fixed strategies (the
-bit-for-bit contract) and the tree for partial-vector combines where no
-stream replay is possible (per-shard ``auto`` arbitration).  The thread
-and process backends both replay each half through :func:`replay_reduce`;
-transposed streams arrive pre-permuted into (col, row) order by
+Fault-free fixed-strategy products do not come here: the sharded
+engine runs them through its replay operand, the shards' cached
+operands stacked into one whole-matrix CSR
+(``ShardedSpMV._replay_operand``).  Replay serves the calls that need
+per-shard streams: products under a shard-level or GPU-substrate
+campaign (which corrupts those streams), the recovery ladder's verified
+streams, and the process backend's worker path.  Transposed streams
+arrive pre-permuted into (col, row) order by
 :meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`.  ``bincount``
 stays the replay primitive: it folds an unsorted grid-order
-concatenation in one pass, over the per-shard streams that shard-level
-fault campaigns corrupt.
+concatenation in one pass.  The tree serves partial-vector combines
+where no stream replay is possible (per-shard ``auto`` arbitration).
 """
 
 from __future__ import annotations

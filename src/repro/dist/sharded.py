@@ -39,17 +39,28 @@ the single-engine product, on every grid shape:
 * Row-disjoint outputs (:meth:`spmv`/:meth:`spmm` on 1D partitions or
   single-column grids) concatenate shard blocks — trivially exact.
 * Overlapping outputs (column-cut :meth:`spmv`/:meth:`spmm`, every
-  :meth:`spmv_transpose`) are combined by **ordered contribution
-  replay** (:func:`~repro.dist.reduce.replay_reduce`): the shards hand
-  over their canonical-order ``(index, value)`` streams
-  (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`), and one
-  accumulation pass per half in grid order replays the exact
-  single-device summation sequence.  A transposed replay puts each
-  shard's streams in (col, row) order with the engine's cached
-  permutation (:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`),
-  never a per-call sort.  The thread and process backends share this
-  replay stage.  Summing rounded per-shard partials could never do
-  this — float addition is not associative.
+  :meth:`spmv_transpose`) run the **replay operand**: per half, the
+  shards' cached CSR operands stacked in grid order into one
+  whole-matrix operand.  Tile-snapped cuts keep each row's entries in
+  the single-device order, so ``op @ x`` and ``op @ X`` are the
+  single-device products, and ``op.T @ x`` is the single-device
+  transpose (scipy's CSC matvec sums each column in ascending row
+  order, the canonical transpose order).  Its structure is built once
+  per plan; its values are refilled after :meth:`update_values`.
+* Calls with a shard-level or GPU-substrate campaign armed, and the
+  recovery ladder's verified streams, instead take **ordered
+  contribution replay** (:meth:`replay_contribs`,
+  :meth:`replay_spmm_streams`): the shards hand over their
+  canonical-order ``(index, value)`` streams
+  (:meth:`~repro.core.tilespmv.TileSpMV.decode_streams`), which the
+  campaign corrupts, and one accumulation pass per half in grid order
+  replays the exact single-device summation sequence.  A transposed
+  replay puts each shard's streams in (col, row) order with the
+  engine's cached permutation
+  (:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`).  The
+  process backend's worker path replays the same way.  Summing rounded
+  per-shard partials could never do this — float addition is not
+  associative.
 
 ``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
 is its job), which rules replay out; its partial vectors are combined
@@ -70,6 +81,7 @@ import scipy.sparse as sp
 
 from repro import telemetry as tele
 from repro.core.plancache import PlanCache
+from repro.core.storage import stream_structure
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
 from repro.dist.partition import (
@@ -207,6 +219,8 @@ class ShardedSpMV:
             csr, self.validation_report = canonicalize_csr(matrix, validation)
         self._m, self._n = csr.shape
         self._nnz = int(csr.nnz)
+        # The prepared pattern, for update_values' pattern check.
+        self._indptr, self._indices = csr.indptr, csr.indices
         self.partition: RowPartition | GridPartition
         if self.grid is None:
             self.partition = partition_rows(csr, shards, tile)
@@ -280,10 +294,11 @@ class ShardedSpMV:
         # Modelled straggler seconds accumulated per shard (virtual
         # clock; the recovery ladder charges them to its deadline).
         self.shard_delay_s = [0.0] * len(self.engines)
-        # Assembled per-row-block CSR operands for the batched replay
-        # path, cached across spmm batches on the fault-free path and
-        # invalidated by update_values (values live inside the operand).
-        self._spmm_replay: list | None = None
+        # The replay operand (see _replay_operand): per half, the stack
+        # structure (kept for the plan's life) and the operands (dropped
+        # by update_values, refilled on the next overlapping product).
+        self._stack: list | None = None
+        self._operand: list | None = None
         if tele.ENABLED:
             tele.count("sharded_builds_total", shards=shards, method=method)
             tele.set_gauge("sharded_imbalance", self.partition.imbalance())
@@ -560,26 +575,122 @@ class ShardedSpMV:
             ys.append(replay_reduce([(idx, w)], length))
         return sum_halves(ys, length)
 
-    def _replay(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """Bit-for-bit product: collect per-shard streams, replay them."""
+    def _replay(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Bit-for-bit overlapping product of a fixed strategy.
+
+        Fault-free calls run the replay operand (:meth:`_replay_operand`)
+        per half — ``op @ x``, ``op @ X`` or ``op.T @ x`` — and still
+        advance every shard's execution counter once, so fault-model
+        attempt numbers never depend on which path ran.  An armed
+        campaign corrupts fresh per-shard streams, so those calls
+        collect the streams and replay them (:meth:`replay_contribs`,
+        :meth:`replay_spmm_streams`).
+        """
         length = self._n if transpose else self._m
-        return self.replay_contribs(self._collect_streams(transpose, x),
-                                    length, transpose)
+        if (
+            shard_faults.active_injector() is not None
+            or faults.active_injector() is not None
+        ):
+            if x.ndim == 2:
+                streams = [
+                    self.shard_call("stream_collect", s, e, self._shard_raw_streams)
+                    for s, e in zip(self.partition.shards, self.engines)
+                ]
+                return self.replay_spmm_streams(streams, x)
+            return self.replay_contribs(self._collect_streams(transpose, x),
+                                        length, transpose)
+        for i in range(len(self.engines)):
+            self.shard_exec_counts[i] += 1
+        ys = [
+            np.asarray(op.T @ x if transpose else op @ x)
+            for op in self._replay_operand()
+            if op is not None
+        ]
+        return sum_halves(ys, (length,) + x.shape[1:])
+
+    def _shard_operands(self, half: int) -> list:
+        """Per shard, ``None`` or one half's cached CSR ``(indptr, indices, data)``.
+
+        Shard-local coordinates: the tiled half's
+        :class:`~repro.core.storage.TileMatrix` operand, or the deferred
+        engine's CSR arrays — the :meth:`TileSpMV.decode_streams` entries,
+        each row in the order its single-device kernel sums it.
+        """
+        out = []
+        for e in self.engines:
+            stream = e.decode_streams()[half]
+            if stream is None:
+                out.append(None)
+            else:
+                op = e.tiled._op if half == 0 else e.deferred_engine
+                out.append((op.indptr, op.indices, op.data))
+        return out
+
+    def _stack_structure(self, parts: list) -> tuple | None:
+        """``(indptr, indices, gather)`` of one half's whole-matrix stack.
+
+        The stack lists each global row's entries cell by cell in grid
+        order, each cell's row in its operand order.  Cells split rows
+        only at tile boundaries, so that is the single-device operand's
+        row order.  ``gather`` maps stack slots to positions in the
+        grid-order concatenation of the shards' ``data``.  Row-disjoint
+        partitions (1D, C=1 grids) stack row blocks whole: the stack is
+        that concatenation, and ``gather`` is ``None``.
+        """
+        live = [(s, p) for s, p in zip(self.partition.shards, parts) if p is not None]
+        if not live:
+            return None
+        nnz = sum(p[1].size for _, p in live)
+        dtype = np.int32 if max(self._m, self._n, nnz) < 2**31 else np.int64
+        if self.grid_cols == 1:
+            row_nnz = np.zeros(self._m, dtype=np.int64)
+            for s, (indptr, _, _) in live:
+                row_nnz[s.row_lo:s.row_hi] = np.diff(indptr)
+            indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(dtype)
+            indices = np.concatenate([p[1] for _, p in live]).astype(dtype, copy=False)
+            return indptr, indices, None
+        rows = np.concatenate([
+            s.row_lo + np.repeat(np.arange(s.rows), np.diff(p[0])) for s, p in live
+        ])
+        cols = np.concatenate([s.col_lo + p[1] for s, p in live])
+        structure = stream_structure(rows, cols, self.shape)
+        return structure.indptr, structure.indices, structure.data
+
+    def _replay_operand(self) -> list:
+        """Per half (tiled, deferred), ``None`` or the whole-matrix operand.
+
+        The shards' cached operands stacked in grid order
+        (:meth:`_stack_structure`): within each row it holds the
+        single-device order, so ``op @ x`` and ``op @ X`` are bit-for-bit
+        the single-device products, and ``op.T @ x`` too — scipy's CSC
+        matvec sums each column in ascending row order, the canonical
+        transpose order.  The structure is built once per plan; the
+        values are refilled on the first product after
+        :meth:`update_values`.  Only the fault-free path builds or runs
+        it, so it never holds corrupted values.
+        """
+        if self._operand is None:
+            if self._stack is None:
+                self._stack = [
+                    self._stack_structure(self._shard_operands(h)) for h in (0, 1)
+                ]
+            ops = []
+            for half, stack in enumerate(self._stack):
+                if stack is None:
+                    ops.append(None)
+                    continue
+                indptr, indices, gather = stack
+                vals = np.concatenate(
+                    [p[2] for p in self._shard_operands(half) if p is not None]
+                )
+                if gather is not None:
+                    vals = vals[gather]
+                ops.append(sp.csr_matrix((vals, indices, indptr), shape=self.shape))
+            self._operand = ops
+        return self._operand
 
     def replay_spmm_streams(self, streams, x: np.ndarray) -> np.ndarray:
         """Combine per-cell raw streams into the batched product.
-
-        Assembles the row-block operands of :meth:`_assemble_spmm_blocks`
-        from ``streams`` — with an armed GPU-substrate campaign
-        corrupting each operand's concatenated values — and applies
-        them.  Like :meth:`replay_contribs`, the recovery ladder feeds
-        this its verified stream list.
-        """
-        blocks = self._assemble_spmm_blocks(streams, faults.active_injector())
-        return self._apply_spmm_blocks(blocks, x)
-
-    def _assemble_spmm_blocks(self, streams, inj=None) -> list:
-        """Per-row-block CSR operands from raw streams.
 
         Per row block, the cells' streams assemble one CSR operand per
         half — scipy's stable COO->CSR conversion keeps each row's
@@ -588,86 +699,48 @@ class ShardedSpMV:
         corresponding row slice of the unsharded :meth:`TileSpMV.spmm`
         bit-for-bit.  A half present anywhere but empty in this row
         block gets a zero operand that still joins the final add,
-        preserving the reference's bit pattern.  ``inj`` (a GPU-substrate
-        injector) corrupts each operand's concatenated values.
+        preserving the reference's bit pattern.  An armed GPU-substrate
+        campaign corrupts each operand's concatenated values.  Like
+        :meth:`replay_contribs`, the recovery ladder feeds this its
+        verified stream list.
         """
+        inj = faults.active_injector()
         part: GridPartition = self.partition
         grid_r, grid_c = part.grid
-        has_half = [
-            any(streams[i][half] is not None for i in range(len(streams)))
-            for half in (0, 1)
-        ]
+        k = x.shape[1]
+        has_half = [any(st[half] is not None for st in streams) for half in (0, 1)]
         kinds = ("tile_payload", "csr5_payload")
-        blocks = []
+        out = []
         for r in range(grid_r):
             rows_r = int(part.row_bounds[r + 1] - part.row_bounds[r])
-            mats: list = [None, None]
+            cells = range(r * grid_c, (r + 1) * grid_c)
+            ys = []
             for half in (0, 1):
                 if not has_half[half]:
                     continue
-                idxs, cols, vals = [], [], []
-                for c in range(grid_c):
-                    i = r * grid_c + c
-                    stream = streams[i][half]
-                    if stream is None:
-                        continue
-                    srows, scols, svals = stream
-                    idxs.append(srows)
-                    cols.append(part.shards[i].col_lo + scols)
-                    vals.append(svals)
-                if idxs:
-                    v = np.concatenate(vals)
+                live = [(part.shards[i], streams[i][half]) for i in cells
+                        if streams[i][half] is not None]
+                if live:
+                    v = np.concatenate([st[2] for _, st in live])
                     if inj is not None:
                         v = inj.corrupt_payload(v, kind=kinds[half])
-                    mats[half] = sp.csr_matrix(
-                        (v, (np.concatenate(idxs), np.concatenate(cols))),
-                        shape=(rows_r, self._n),
-                    )
+                    rows = np.concatenate([st[0] for _, st in live])
+                    cols = np.concatenate([s.col_lo + st[1] for s, st in live])
+                    op = sp.csr_matrix((v, (rows, cols)), shape=(rows_r, self._n))
                 else:
-                    mats[half] = sp.csr_matrix((rows_r, self._n))
-            blocks.append((rows_r, mats))
-        return blocks
-
-    @staticmethod
-    def _apply_spmm_blocks(blocks, x: np.ndarray) -> np.ndarray:
-        """Run assembled row-block operands on ``x`` and stack the blocks."""
-        k = x.shape[1]
-        out = [
-            sum_halves([np.asarray(m @ x) for m in mats if m is not None], (rows_r, k))
-            for rows_r, mats in blocks
-        ]
+                    op = sp.csr_matrix((rows_r, self._n))
+                ys.append(np.asarray(op @ x))
+            out.append(sum_halves(ys, (rows_r, k)))
         return np.concatenate(out, axis=0) if out else np.zeros((0, k))
-
-    def _replay_spmm(self, x: np.ndarray) -> np.ndarray:
-        """Bit-for-bit batched product for column-cut grids.
-
-        One stream gather per shard per *batch* — never per column —
-        and, on the fault-free path, the assembled per-row-block CSR
-        operands are cached across batches (a coalesced serving burst
-        pays the canonicalization sort once).  An armed fault campaign
-        bypasses the cache: corruption must hit fresh streams per call.
-        """
-        armed = (
-            shard_faults.active_injector() is not None
-            or faults.active_injector() is not None
-        )
-        if armed or self._spmm_replay is None:
-            streams = [
-                self.shard_call("stream_collect", s, e, self._shard_raw_streams)
-                for s, e in zip(self.partition.shards, self.engines)
-            ]
-            if armed:
-                return self.replay_spmm_streams(streams, x)
-            self._spmm_replay = self._assemble_spmm_blocks(streams)
-        return self._apply_spmm_blocks(self._spmm_replay, x)
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x.
 
         Row-disjoint partitions (1D, or C=1 grids) concatenate the
         shard blocks, computed concurrently.  Column-cut grids combine
-        overlapping partials: ordered replay for the fixed strategies
-        (bit-for-bit), the fixed-shape tree per row block for ``auto``
+        overlapping partials: the replay operand for the fixed
+        strategies (bit-for-bit; ordered stream replay under a
+        campaign), the fixed-shape tree per row block for ``auto``
         (deterministic).
         """
         x = np.asarray(x, dtype=np.float64)
@@ -688,7 +761,7 @@ class ShardedSpMV:
                         ]
                     )
                 else:
-                    y = self._replay(x, transpose=False)
+                    y = self._replay(x)
             else:
                 parts = self._run_shards(
                     "spmv", lambda s, e: e.spmv(self._x_block(s, x))
@@ -704,8 +777,8 @@ class ShardedSpMV:
         """Y = A @ X, each shard running its native batched product.
 
         Same combine contract as :meth:`spmv`: concatenation when row
-        blocks are disjoint, replay (fixed strategies) or per-row-block
-        tree (``auto``) under column cuts.
+        blocks are disjoint, the replay operand (fixed strategies) or
+        per-row-block tree (``auto``) under column cuts.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self._n:
@@ -714,7 +787,7 @@ class ShardedSpMV:
             return np.zeros((self._m, 0))
         if x.shape[1] == 1:
             # Degenerate batch: the exact spmv combine (concatenation /
-            # ordered replay / tree), bit-for-bit a standalone product.
+            # replay operand / tree), bit-for-bit a standalone product.
             return self.spmv(x[:, 0]).reshape(self._m, 1)
         with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
                        nnz=self._nnz, k=x.shape[1]):
@@ -732,7 +805,7 @@ class ShardedSpMV:
                         axis=0,
                     )
                 else:
-                    out = self._replay_spmm(x)
+                    out = self._replay(x)
             else:
                 parts = self._run_shards(
                     "spmm", lambda s, e: e.spmm(self._x_block(s, x))
@@ -750,15 +823,15 @@ class ShardedSpMV:
         """y = A.T @ x — bit-for-bit with the single device, at every P.
 
         Every shard contributes to overlapping output ranges, so this is
-        always a cross-shard reduction.  Fixed strategies replay the
-        shards' canonical contribution streams in grid order — the exact
-        single-device accumulation sequence, hence bit-for-bit equality
-        (this used to be allclose-only when rounded per-shard partials
-        were summed).  ``auto`` partials combine through the fixed-shape
-        tree per column block: deterministic, schedule-independent,
-        equal to rounding.  An empty partition contributes nothing and
-        the result is a typed float64 zero vector of the full column
-        extent.
+        always a cross-shard reduction.  Fixed strategies run the
+        replay operand transposed (ordered stream replay under a
+        campaign) — the exact single-device accumulation sequence, hence
+        bit-for-bit equality (this used to be allclose-only when rounded
+        per-shard partials were summed).  ``auto`` partials combine
+        through the fixed-shape tree per column block: deterministic,
+        schedule-independent, equal to rounding.  An empty partition
+        contributes nothing and the result is a typed float64 zero
+        vector of the full column extent.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._m,):
@@ -792,15 +865,23 @@ class ShardedSpMV:
         """Stream new values through every shard's prepared plan.
 
         Accepts a same-pattern sparse matrix or the length-``nnz`` value
-        array in canonical CSR order.  1D shards take their contiguous
-        slice (``nnz_lo:nnz_hi``); grid cells gather their scattered
-        subset of the row block's entries (the per-cell index map built
-        at partition time).  Either way each shard takes the
+        array in canonical CSR order.  A sparse matrix must match the
+        prepared ``indptr``/``indices`` exactly, as in
+        :meth:`TileSpMV.update_values` (the shards only ever see value
+        slices, so no shard can check it).  1D shards take their
+        contiguous slice (``nnz_lo:nnz_hi``); grid cells gather their
+        scattered subset of the row block's entries (the per-cell index
+        map built at partition time).  Either way each shard takes the
         :meth:`TileSpMV.update_values` fast path.
         """
         if sp.issparse(values):
             csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
-            if csr.shape != self.shape or int(csr.nnz) != self._nnz:
+            if (
+                csr.shape != self.shape
+                or int(csr.nnz) != self._nnz
+                or not np.array_equal(csr.indptr, self._indptr)
+                or not np.array_equal(csr.indices, self._indices)
+            ):
                 raise ValueError(
                     "sparsity pattern differs from the prepared matrix; "
                     "build a new ShardedSpMV instead of update_values"
@@ -817,8 +898,8 @@ class ShardedSpMV:
             else:
                 for s, engine in zip(self.partition.shards, self.engines):
                     engine.update_values(data[s.nnz_lo:s.nnz_hi])
-        # The cached batched-replay operands hold the old values.
-        self._spmm_replay = None
+        # The replay operand holds the old values; its structure stays.
+        self._operand = None
         return self
 
     # -- lifecycle ---------------------------------------------------------

@@ -230,6 +230,46 @@ class TestEngineIntegration:
             assert eng.shard_exec_counts == [1, 1, 1, 1]
             eng.spmm(np.ones((200, 3)))
             assert eng.shard_exec_counts == [2, 2, 2, 2]
+            eng.spmv_transpose(np.ones(200))
+            assert eng.shard_exec_counts == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("grid", [(2, 2), (3, 2)])
+    def test_campaign_products_take_the_stream_replay(self, grid):
+        # An armed campaign must corrupt fresh per-shard streams, not
+        # run the cached replay operand: each product equals the stream
+        # replay a twin engine runs from the same seed at the same
+        # attempt numbers, and differs from the clean product.
+        a = random_uniform(260, 230, nnz_per_row=6, seed=39)
+        rng = np.random.default_rng(FAULT_SEED)
+        x, xt = rng.standard_normal(230), rng.standard_normal(260)
+        single = TileSpMV(a, method="adpt")
+        plan = ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(0,), halo_devices=(3,),
+                              fault_attempts=None)
+        with ShardedSpMV(a, grid=grid) as eng, ShardedSpMV(a, grid=grid) as twin:
+            # Warm the cached operand first: the campaign must bypass it.
+            eng.spmv(x)
+            twin.spmv(x)
+            with shard_fault_injection(plan):
+                got_t = eng.spmv_transpose(xt)
+                got = eng.spmv(x)
+            with shard_fault_injection(plan):
+                want_t = twin.replay_contribs(
+                    twin._collect_streams(True, xt), 230, transpose=True
+                )
+                want = twin.replay_contribs(
+                    twin._collect_streams(False, x), 260, transpose=False
+                )
+            assert eng.shard_exec_counts == twin.shard_exec_counts
+            assert np.array_equal(got_t, want_t)
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got_t, single.spmv_transpose(xt))
+            assert not np.array_equal(got, single.spmv(x))
+            # Disarmed: the operand answers again, never holding the
+            # corrupted values.
+            assert np.array_equal(eng.spmv_transpose(xt), single.spmv_transpose(xt))
+            assert np.array_equal(eng.spmv(x), single.spmv(x))
+            X = rng.standard_normal((230, 3))
+            assert np.array_equal(eng.spmm(X), single.spmm(X))
 
     def test_device_ranks_validation(self):
         a = random_uniform(100, 100, nnz_per_row=4, seed=38)

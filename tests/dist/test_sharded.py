@@ -189,6 +189,51 @@ class TestGrid2D:
         assert grid[0]["halo_bytes"] < flat[0]["halo_bytes"]
 
 
+PARTITIONS = [
+    {"shards": 2}, {"shards": 3},
+    {"grid": (1, 2)}, {"grid": (2, 2)}, {"grid": (3, 2)},
+]
+
+
+class TestReplayOperand:
+    """Overlapping products run one stacked whole-matrix operand per half."""
+
+    @pytest.mark.parametrize("partition", PARTITIONS, ids=str)
+    @pytest.mark.parametrize("method", ["csr", "adpt", "deferred_coo"])
+    @pytest.mark.parametrize("matrix", [
+        fem_blocks(300, block=3, avg_degree=8, seed=93),
+        random_uniform(300, 260, nnz_per_row=5, seed=91),
+    ], ids=["fem", "rect"])
+    def test_bit_exact_across_updates(self, rng, matrix, method, partition):
+        # Two successive updates: a stale operand (values not refilled,
+        # or refilled from the previous update) fails here.
+        m, n = matrix.shape
+        single = TileSpMV(matrix, method=method)
+        with ShardedSpMV(matrix, method=method, **partition) as eng:
+            stack = None
+            for step in range(3):
+                if step:
+                    new = rng.standard_normal(matrix.nnz)
+                    single.update_values(new)
+                    eng.update_values(new)
+                x, xt = rng.standard_normal(n), rng.standard_normal(m)
+                X = rng.standard_normal((n, 3))
+                assert np.array_equal(eng.spmv_transpose(xt), single.spmv_transpose(xt))
+                assert np.array_equal(eng.spmv(x), single.spmv(x))
+                assert np.array_equal(eng.spmm(X), single.spmm(X))
+                # The structure is built once and survives every update;
+                # row-disjoint partitions stack without a gather.
+                if stack is None:
+                    stack = [None if h is None else h[:2] for h in eng._stack]
+                for kept, now, op in zip(stack, eng._stack, eng._operand):
+                    if kept is None:
+                        assert now is None and op is None
+                        continue
+                    assert now[0] is kept[0] and now[1] is kept[1]
+                    assert np.shares_memory(op.indices, kept[1])
+                    assert (now[2] is None) == (eng.grid_cols == 1)
+
+
 class TestUpdateValues:
     def test_array_roundtrip_bit_exact(self, rng):
         a = fem_blocks(240, block=3, avg_degree=8, seed=30)
@@ -217,6 +262,33 @@ class TestUpdateValues:
                 eng.update_values(random_uniform(200, 200, nnz_per_row=4, seed=33))
             with pytest.raises(ValueError):
                 eng.update_values(np.ones(a.nnz + 1))
+
+    @staticmethod
+    def _moved_entry():
+        # Same shape and nnz; one entry moves from column 0 to column 1.
+        rows = np.array([0, 1, 2, 3, 3])
+        a = sp.csr_matrix((np.ones(5), (rows, [0, 1, 2, 3, 0])), shape=(4, 4))
+        b = sp.csr_matrix((np.ones(5), (rows, [0, 1, 2, 3, 1])), shape=(4, 4))
+        return a, b
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_same_nnz_pattern_change_rejected(self, backend):
+        a, b = self._moved_entry()
+        x = np.arange(1.0, 5.0)
+        with ShardedSpMV(a, shards=2, tile=2, backend=backend) as eng:
+            with pytest.raises(ValueError, match="pattern"):
+                eng.update_values(b)
+            assert np.array_equal(eng.spmv(x), a @ x)
+
+    def test_same_nnz_pattern_change_rejected_with_recovery(self):
+        from repro.dist import RecoverableShardedSpMV
+
+        a, b = self._moved_entry()
+        x = np.arange(1.0, 5.0)
+        with RecoverableShardedSpMV(a, shards=2, tile=2) as eng:
+            with pytest.raises(ValueError, match="pattern"):
+                eng.update_values(b)
+            assert np.array_equal(eng.spmv(x), a @ x)
 
 
 class TestLifecycle:
