@@ -14,6 +14,11 @@ backend on the same partitions and reports, per matrix:
   processes dodge the GIL, so on a >= 4-core host the process backend
   must actually win (>= 1.05x); on smaller hosts the record carries
   ``cpu_limited: true`` and the gate is informational,
+* **overlapping products** — ``spmv_transpose`` on 1D P=2 and
+  column-cut ``spmv`` on a 2x2 grid run the same in-process path on
+  both backends, so the process backend must stay within
+  ``OVERLAP_GATE`` of the thread backend's median wall time (both
+  bit-exact first),
 * **model** — the spawn_s / shm_bytes terms the cost model now prices.
 
 Results land in a JSON file (default ``BENCH_procpool.json``) so CI can
@@ -46,6 +51,13 @@ from repro.gpu.device import A100, TITAN_RTX
 # (re-shipping the plan wire, pickling payloads through the pipe).
 P1_OVERHEAD_LIMIT_S = 2.5e-3
 SPEEDUP_FLOOR = 1.05
+# Process vs thread median wall time of the overlapping products.
+OVERLAP_GATE = 2.0
+# (label, grid, product) of the overlapping-product gate, P=2 or 2x2.
+OVERLAP_CASES = (
+    ("transpose_1d", None, "spmv_transpose"),
+    ("colcut_spmv_2x2", (2, 2), "spmv"),
+)
 
 
 def _matrices(quick: bool):
@@ -70,6 +82,46 @@ def _median_wall(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
+
+
+def _paired_ratio(fn_p, fn_t, x, repeats: int) -> tuple[float, float]:
+    """Process vs thread wall time of one product: (median wall, ratio).
+
+    Samples alternate between the two engines, so a slow spell on the
+    host lands on both sides of the ratio instead of on one.
+    """
+    proc, thread = [], []
+    for _ in range(repeats):
+        for fn, out in ((fn_p, proc), (fn_t, thread)):
+            t0 = time.perf_counter()
+            fn(x)
+            out.append(time.perf_counter() - t0)
+    wall = float(np.median(proc))
+    return wall, wall / float(np.median(thread))
+
+
+def bench_overlap(name, matrix, repeats: int) -> dict:
+    """The overlapping-product gate's records for one matrix."""
+    rng = np.random.default_rng(1)
+    single = TileSpMV(matrix, method="adpt")
+    out = {}
+    for label, grid, op in OVERLAP_CASES:
+        n = matrix.shape[0] if op == "spmv_transpose" else matrix.shape[1]
+        x = rng.standard_normal(n)
+        ref = getattr(single, op)(x)
+        with ShardedSpMV(matrix, shards=2, grid=grid, method="adpt") as eng_t, \
+                ShardedSpMV(matrix, shards=2, grid=grid, method="adpt",
+                            backend="process") as eng_p:
+            for backend, eng in (("thread", eng_t), ("process", eng_p)):
+                if not np.array_equal(getattr(eng, op)(x), ref):
+                    raise AssertionError(
+                        f"{name}: {backend} {label} is not bit-exact"
+                    )
+            wall, ratio = _paired_ratio(
+                getattr(eng_p, op), getattr(eng_t, op), x, repeats
+            )
+        out[label] = {"wall_process_s": wall, "ratio": ratio}
+    return out
 
 
 def bench_matrix(name, matrix, p_wide: int, repeats: int) -> dict:
@@ -119,6 +171,7 @@ def bench_matrix(name, matrix, p_wide: int, repeats: int) -> dict:
     row["model_shm_bytes"] = cost.shm_bytes
     row["worker_spawns"] = st["spawns"]
     row["worker_respawns"] = st["respawns"]
+    row["overlap"] = bench_overlap(name, matrix, 4 * repeats)
     return row
 
 
@@ -148,7 +201,11 @@ def main(argv=None) -> int:
             f"process {row['wall_process_s'] * 1e3:8.3f} ms "
             f"({row['process_speedup']:.2f}x)  "
             f"spawn {row['model_spawn_s'] * 1e3:.1f} ms model, "
-            f"shm {row['model_shm_bytes'] / 1e3:.1f} kB"
+            f"shm {row['model_shm_bytes'] / 1e3:.1f} kB  "
+            + "  ".join(
+                f"{label} x{rec['ratio']:.2f}"
+                for label, rec in row["overlap"].items()
+            )
         )
 
     worst_p1 = max((r["p1_overhead_s"] for r in rows), default=0.0)
@@ -177,7 +234,18 @@ def main(argv=None) -> int:
             f"{'PASS' if speedup_ok else 'FAIL'}"
         )
 
-    ok = p1_ok and speedup_ok
+    worst_overlap = max(
+        (rec["ratio"] for r in rows for rec in r["overlap"].values()),
+        default=0.0,
+    )
+    overlap_ok = worst_overlap <= OVERLAP_GATE
+    overlap_verdict = (
+        f"overlapping products, process vs thread: worst "
+        f"{worst_overlap:.2f}x (<= {OVERLAP_GATE:g}x) -> "
+        f"{'PASS' if overlap_ok else 'FAIL'}"
+    )
+
+    ok = p1_ok and speedup_ok and overlap_ok
     payload = {
         "device": device.name,
         "quick": args.quick,
@@ -189,12 +257,16 @@ def main(argv=None) -> int:
         "p1_gate_pass": bool(p1_ok),
         "best_process_speedup": best_speedup,
         "speedup_gate_pass": bool(speedup_ok),
+        "overlap_gate": OVERLAP_GATE,
+        "worst_overlap_ratio": worst_overlap,
+        "overlap_gate_pass": bool(overlap_ok),
         "pass": bool(ok),
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n{p1_verdict}")
     print(speedup_verdict)
+    print(overlap_verdict)
     print(f"results written to {args.out}")
     return 0 if ok else 1
 

@@ -359,12 +359,15 @@ def _cmd_check(args) -> int:
         # Process-backend drill: SIGKILL one worker mid-operation and
         # require the supervisor to respawn it and replay only the lost
         # shard — the process-level analogue of the shard drill above.
+        # Workers run row-disjoint blocks only (a column-cut spmv runs
+        # in-process), so the drill shards by rows at the same count.
         from repro.dist import ShardFaultPlan, shard_fault_injection
 
+        drill_shards = engine.engine.shards
         with ReliableSpMV(
             matrix, method=args.method, policy=args.policy,
             plan_cache=PlanCache(), auto_device=device,
-            shards=args.shards, grid=grid, backend="process",
+            shards=drill_shards, grid=None, backend="process",
         ) as drill:
             with shard_fault_injection(
                 ShardFaultPlan(seed=args.seed, kill_workers=(0,))
@@ -379,7 +382,8 @@ def _cmd_check(args) -> int:
                 and drill.counters["detected"] == 0
             )
             print(
-                f"worker-kill drill (seed={args.seed}): "
+                f"worker-kill drill (seed={args.seed}, "
+                f"row blocks P={drill_shards}): "
                 f"killed={kinj.injected}, respawns={st['respawns']}, "
                 f"replays={st['replays']}, "
                 f"localized respawn+replay: {localized_k}, "

@@ -11,12 +11,12 @@ modelled.  Three mechanisms carry the design:
   worker at spawn (and at every respawn).  The worker rebuilds its
   :class:`~repro.core.tilespmv.TileSpMV` from the wire
   deterministically, so worker results are bit-for-bit the parent's —
-  the combine rules of the thread backend (concatenation, ordered
-  replay, fixed-shape tree) apply unchanged.
+  the workers run per-shard blocks only, and every combine is the
+  thread backend's own code.
 * **Shared-memory payloads** — per-call inputs and outputs live in
   :mod:`multiprocessing.shared_memory` segments: the parent writes
   ``x`` once, every worker reads its window as a zero-copy numpy view,
-  and each worker writes its block/weights into its own output segment.
+  and each worker writes its block into its own output segment.
   Nothing on the hot path is pickled; the pipes carry only small
   command/reply dicts.
 * **Worker supervision** — :class:`WorkerSupervisor` owns the
@@ -64,8 +64,7 @@ from repro import telemetry as tele
 from repro.core.serialize import pack_shard_plan, unpack_shard_plan
 from repro.core.tilespmv import TileSpMV
 from repro.dist import faults as shard_faults
-from repro.dist.reduce import replay_reduce, tree_reduce
-from repro.dist.sharded import ShardedSpMV, sum_halves
+from repro.dist.sharded import ShardedSpMV
 from repro.gpu import faults as gpu_faults
 from repro.gpu.costmodel import MultiDeviceRunCost
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
@@ -340,37 +339,6 @@ def _worker_execute(engine, rank, cmd, attached, attach):  # pragma: no cover
     else:
         xfull = np.ndarray((x_len, int(k)), dtype=np.float64, buffer=x_seg.buf)
     xwin = xfull[lo:hi]
-
-    if op == "weights":
-        transpose = bool(cmd["transpose"])
-        halves, parts = [], []
-        for salt, stream in zip(("tiled", "deferred"), engine.decode_streams()):
-            if stream is None:
-                halves.append(-1)
-                continue
-            rows, cols, vals = stream
-            if inj is not None:
-                vals = inj.corrupt_partial(rank, attempt, vals, salt=salt)
-            xg = xwin[rows] if transpose else xwin[cols]
-            if inj is not None:
-                xg = inj.corrupt_halo(rank, attempt, xg, salt=salt)
-            # A batched x block gathers (entries, k); the per-entry
-            # weights are the same elementwise products, one column per
-            # member of the batch.
-            w = vals[:, None] * xg if xg.ndim == 2 else vals * xg
-            halves.append(int(w.shape[0]))
-            parts.append(w)
-        out = (
-            np.concatenate(parts)
-            if parts
-            else np.zeros(0, dtype=np.float64)
-        )
-        if inj is not None:
-            out = inj.corrupt_segment(rank, attempt, out)
-        out_seg = attach(cmd["out_seg"])
-        view = np.ndarray((out.size,), dtype=np.float64, buffer=out_seg.buf)
-        view[: out.size] = out.ravel()
-        return {"ok": True, "op": op, "halves": halves}
 
     if inj is not None:
         xwin = inj.corrupt_halo(rank, attempt, xwin)
@@ -834,12 +802,22 @@ class ProcessShardedSpMV(ShardedSpMV):
     """:class:`ShardedSpMV` executing shards in supervised worker processes.
 
     Construct directly, or via ``ShardedSpMV(matrix, backend="process")``
-    — the parent class dispatches here.  The parent engines are kept:
-    they provide the cost model, the plan keys, the replay index
-    streams, and the in-process fallback the degradation ladder lands
-    on.  Execution state walks ``process → thread → sequential``:
+    — the parent class dispatches here.  The products, their guards and
+    their combines are the parent's; this class overrides only where one
+    shard's block runs (:meth:`_run_shards`).  Row-disjoint products
+    (1D partitions, single-column grids) and every ``auto`` partial run
+    in the workers.  Overlapping fixed-strategy products (every
+    ``spmv_transpose``, column-cut ``spmv``/``spmm``) never reach
+    :meth:`_run_shards`: they run the parent's replay operand in this
+    process, or its stream replay under a campaign, exactly as on the
+    thread backend.
 
-    * ``process`` — shard ops dispatch to workers; a quarantined
+    The parent engines are kept: they provide the cost model, the plan
+    keys, the replay operand, and the in-process fallback the
+    degradation ladder lands on.  Execution state walks
+    ``process → thread → sequential``:
+
+    * ``process`` — shard blocks dispatch to workers; a quarantined
       worker's shard (breaker tripped after ``max_respawns`` respawns)
       falls back to the in-process engine while the rest stay remote.
     * ``thread`` — entered when every worker is quarantined (or via
@@ -849,10 +827,7 @@ class ProcessShardedSpMV(ShardedSpMV):
 
     Like the thread backend, an armed GPU-substrate fault campaign
     forces the inherited (sequential) path — its injector is a single
-    consumed RNG stream that cannot be split across processes.  The
-    column-cut fixed-method ``spmm`` replay also stays in-process (its
-    combine consumes the full index streams); every other op ships to
-    the workers.
+    consumed RNG stream that cannot be split across processes.
     """
 
     _process_capable = True
@@ -884,7 +859,7 @@ class ProcessShardedSpMV(ShardedSpMV):
             + [s.nnz for s in self.partition.shards]
         )
         out_caps = [
-            8 * max(s.rows, n_local[i], s.nnz, 1)
+            8 * max(s.rows, n_local[i], 1)
             for i, s in enumerate(self.partition.shards)
         ]
         sup: WorkerSupervisor | None = None
@@ -1014,18 +989,17 @@ class ProcessShardedSpMV(ShardedSpMV):
         if tele.ENABLED:
             tele.count("shm_bytes_total", n=float(nbytes))
 
-    def _x_bounds(self, s, transpose: bool) -> tuple[int, int]:
-        if transpose:
+    def _x_bounds(self, s, op: str) -> tuple[int, int]:
+        if op == "spmv_transpose":
             return s.row_lo, s.row_hi
         if self.grid is not None:
             return s.col_lo, s.col_hi
         return 0, self._n
 
-    def _command(self, s, op: str, x_len: int, transpose: bool = False,
-                 k: int | None = None) -> dict:
+    def _command(self, s, op: str, x_len: int, k: int | None = None) -> dict:
         attempt = self._begin_attempt(s.index)
         inj = shard_faults.active_injector()
-        lo, hi = self._x_bounds(s, transpose)
+        lo, hi = self._x_bounds(s, op)
         cmd = {
             "op": op,
             "shard": s.index,
@@ -1040,8 +1014,6 @@ class ProcessShardedSpMV(ShardedSpMV):
         }
         if k is not None:
             cmd["k"] = k
-        if op == "weights":
-            cmd["transpose"] = transpose
         return cmd
 
     def _read_out(self, i: int, count: int) -> np.ndarray:
@@ -1050,273 +1022,67 @@ class ProcessShardedSpMV(ShardedSpMV):
         self._count_shm(count * 8)
         return np.array(view)
 
-    def _local_block(self, op: str, s, e, x: np.ndarray):
-        """In-process fallback for one shard (quarantined worker)."""
-        if op == "spmv":
-            fn = lambda s_, e_: e_.spmv(self._x_block(s_, x))  # noqa: E731
-        elif op == "spmm":
-            fn = lambda s_, e_: e_.spmm(self._x_block(s_, x))  # noqa: E731
-        else:
-            fn = lambda s_, e_: e_.spmv_transpose(x[s_.row_lo:s_.row_hi])  # noqa: E731
-        return self.shard_call(op, s, e, fn)
-
     def _proc_blocks(self, op: str, x: np.ndarray,
                      k: int | None = None) -> list[np.ndarray]:
-        """Run one block op per shard in the workers; fall back per shard."""
-        transpose = op == "spmv_transpose"
+        """Run one block op per shard in the workers; fall back per shard.
+
+        A shard whose worker is quarantined, before or during the call,
+        runs in this process through :meth:`shard_call`, like a thread
+        backend shard.
+        """
         sup = self._supervisor
-        x_len = x.shape[0]
+
+        def local(s, e):
+            return self.shard_call(
+                op, s, e, lambda s_, e_: self._shard_product(op, s_, e_, x)
+            )
+
         self._write_x(x)
         parts: list = [None] * len(self.engines)
         commands = []
         for s, e in zip(self.partition.shards, self.engines):
             if not sup.healthy(s.index):
-                parts[s.index] = self._local_block(op, s, e, x)
+                parts[s.index] = local(s, e)
                 continue
-            if transpose:
+            if op == "spmv_transpose":
                 out_len = (
                     (s.col_hi - s.col_lo) if self.grid is not None else self._n
                 )
             else:
                 out_len = s.rows * (k or 1)
             sup.ensure_out(s.index, 8 * max(out_len, 1))
-            commands.append(
-                (s.index, self._command(s, op, x_len, transpose=transpose, k=k))
-            )
+            commands.append((s.index, self._command(s, op, x.shape[0], k=k)))
         replies = sup.run(commands)
         for (i, _cmd), reply in zip(commands, replies):
-            s, e = self.partition.shards[i], self.engines[i]
             if reply is None:  # quarantined mid-operation
-                parts[i] = self._local_block(op, s, e, x)
+                parts[i] = local(self.partition.shards[i], self.engines[i])
                 continue
             shape = tuple(reply["shape"])
             count = int(np.prod(shape)) if shape else 0
             parts[i] = self._read_out(i, count).reshape(shape)
         return parts
 
-    # -- replay path (column cuts / transpose, fixed methods) --------------
-
-    def _local_weight_contrib(self, s, e, x: np.ndarray, transpose: bool):
-        contrib = self.shard_call(
-            "stream_collect", s, e,
-            lambda s_, e_: self._stream_contrib(s_, e_, x, transpose),
-        )
-        out = []
-        for c in contrib:
-            if c is None:
-                out.append(None)
-            else:
-                idx, xg, vals = c
-                w = vals[:, None] * xg if xg.ndim == 2 else vals * xg
-                out.append((idx, w))
-        return tuple(out)
-
-    def _worker_weight_contrib(self, s, e, halves: list[int],
-                               transpose: bool, k: int | None = None):
-        """Pair the worker's weight buffer with the parent's index streams.
-
-        Indices are structural (they never change between calls), so the
-        parent's engine supplies them; the worker supplies the weights
-        ``vals * x_gather`` it computed from shared memory.  Multiplying
-        per shard is bit-identical to the thread backend's one big
-        elementwise multiply — IEEE multiplication is per-element.  A
-        batched call (``k``) ships one ``(entries, k)`` weight block per
-        shard over the same single round trip.
-        """
-        off = self._col_offset(s)
-        total = sum(h for h in halves if h > 0)
-        if k is None:
-            buf = self._read_out(s.index, total)
-        else:
-            buf = self._read_out(s.index, total * k).reshape(total, k)
-        pos = 0
-        out = []
-        orders = e.transpose_orders() if transpose else (None, None)
-        for stream, ln, o in zip(e.decode_streams(), halves, orders):
-            if ln < 0 or stream is None:
-                out.append(None)
-                continue
-            rows, cols, _vals = stream
-            w = buf[pos:pos + ln]
-            pos += ln
-            if transpose:
-                # Mirror _stream_contrib's canonical (col, row) order; the
-                # worker multiplied element-wise in stream order, and IEEE
-                # multiplication commutes with the permutation.
-                idx, w = (off + cols)[o], w[o]
-            else:
-                idx = s.row_lo + rows
-            out.append((idx, w))
-        return tuple(out)
-
-    def _proc_replay(self, x: np.ndarray, transpose: bool,
-                     k: int | None = None) -> np.ndarray:
-        sup = self._supervisor
-        self._write_x(x)
-        contribs: list = [None] * len(self.engines)
-        commands = []
-        for s, e in zip(self.partition.shards, self.engines):
-            if not sup.healthy(s.index):
-                contribs[s.index] = self._local_weight_contrib(s, e, x, transpose)
-                continue
-            sup.ensure_out(s.index, 8 * max(s.nnz * (k or 1), 1))
-            commands.append(
-                (s.index,
-                 self._command(s, "weights", x.shape[0], transpose=transpose,
-                               k=k))
-            )
-        replies = sup.run(commands)
-        for (i, _cmd), reply in zip(commands, replies):
-            s, e = self.partition.shards[i], self.engines[i]
-            if reply is None:
-                contribs[i] = self._local_weight_contrib(s, e, x, transpose)
-            else:
-                contribs[i] = self._worker_weight_contrib(
-                    s, e, reply["halves"], transpose, k=k
-                )
-        length = self._n if transpose else self._m
-        # A batched call replays each column over the shared structural
-        # index stream: column j is bit-for-bit the spmv replay of x[:, j].
-        ys = []
-        for half in (0, 1):
-            streams = [c[half] for c in contribs if c[half] is not None]
-            if streams:
-                ys.append(replay_reduce(streams, length))
-        return sum_halves(ys, length if k is None else (length, k))
-
-    # -- public ops --------------------------------------------------------
-
-    def spmv(self, x: np.ndarray) -> np.ndarray:
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """Per-shard blocks in the workers while the pool is usable."""
         if not self._use_workers():
-            return super().spmv(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._n,):
-            raise ValueError(f"x must have shape ({self._n},)")
-        with tele.span("sharded_spmv", cat="kernel", shards=self.shards,
-                       nnz=self._nnz, backend="process"):
-            if self.grid_cols > 1:
-                if self.method == "auto":
-                    parts = self._proc_blocks("spmv", x)
-                    c = self.grid_cols
-                    y = np.concatenate(
-                        [
-                            tree_reduce(parts[r * c:(r + 1) * c])
-                            for r in range(self.grid_rows)
-                        ]
-                    )
-                else:
-                    y = self._proc_replay(x, transpose=False)
-            else:
-                parts = self._proc_blocks("spmv", x)
-                y = np.concatenate(parts) if parts else np.zeros(0)
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return y
+            return super()._run_shards(op, x)
+        return self._proc_blocks(op, x, k=x.shape[1] if x.ndim == 2 else None)
 
-    __matmul__ = spmv
+    # The products are the parent's.  These names only keep them in this
+    # class's own namespace, where the benchmark's tracer
+    # (perfbench/tracing.py) looks them up to time the process layer.
+    spmv = ShardedSpMV.spmv
+    spmm = ShardedSpMV.spmm
 
-    def spmm(self, x: np.ndarray) -> np.ndarray:
-        if not self._use_workers():
-            return super().spmm(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self._n:
-            raise ValueError(f"X must have shape ({self._n}, k)")
-        k = x.shape[1]
-        if k == 0:
-            return np.zeros((self._m, 0))
-        if k == 1:
-            return self.spmv(x[:, 0]).reshape(self._m, 1)
-        if self.grid_cols > 1 and self.method != "auto":
-            if shard_faults.active_injector() is not None:
-                # Campaign replays consume the full per-call streams;
-                # keep the inherited in-process path under injection.
-                return super().spmm(x)
-            # Batched replay: each worker ships one (entries, k) weight
-            # block per round trip; the parent combines per column over
-            # the shared structural index streams.
-            with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
-                           nnz=self._nnz, k=k, backend="process"):
-                out = self._proc_replay(x, transpose=False, k=k)
-            if tele.ENABLED:
-                tele.count("sharded_spmv_total", shards=self.shards)
-            return out
-        with tele.span("sharded_spmm", cat="kernel", shards=self.shards,
-                       nnz=self._nnz, k=k, backend="process"):
-            parts = self._proc_blocks("spmm", x, k=k)
-            if self.grid_cols > 1:
-                c = self.grid_cols
-                out = np.concatenate(
-                    [
-                        tree_reduce(parts[r * c:(r + 1) * c])
-                        for r in range(self.grid_rows)
-                    ],
-                    axis=0,
-                )
-            else:
-                out = (
-                    np.concatenate(parts, axis=0)
-                    if parts
-                    else np.zeros((0, k))
-                )
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return out
-
-    def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        if not self._use_workers():
-            return super().spmv_transpose(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._m,):
-            raise ValueError(f"x must have shape ({self._m},)")
-        with tele.span("sharded_spmv_transpose", cat="kernel",
-                       shards=self.shards, nnz=self._nnz, backend="process"):
-            if self.method == "auto":
-                parts = self._proc_blocks("spmv_transpose", x)
-                if self.grid is None:
-                    y = tree_reduce(parts) if parts else np.zeros(self._n)
-                else:
-                    grid_r, grid_c = self.grid
-                    y = np.concatenate(
-                        [
-                            tree_reduce(
-                                [parts[r * grid_c + c] for r in range(grid_r)]
-                            )
-                            for c in range(grid_c)
-                        ]
-                    )
-            else:
-                y = self._proc_replay(x, transpose=True)
-        if tele.ENABLED:
-            tele.count("sharded_spmv_total", shards=self.shards)
-        return y
-
-    def update_values(self, values) -> "ProcessShardedSpMV":
-        super().update_values(values)
+    def _apply_values(self, slices: list[np.ndarray]) -> None:
+        super()._apply_values(slices)
         # Refresh the canonical shard blocks (the wire payload for any
         # future respawn) and stream the new values to live workers.
-        import scipy.sparse as sp
-
-        from repro.reliability.validation import ValidationPolicy, canonicalize_csr
-
-        if sp.issparse(values):
-            data = np.asarray(
-                canonicalize_csr(values, ValidationPolicy.TRUST)[0].data,
-                dtype=np.float64,
-            )
-        else:
-            data = np.asarray(values, dtype=np.float64)
-        slices = []
-        if self._nnz_idx is not None:
-            for sel in self._nnz_idx:
-                slices.append(data[sel])
-        else:
-            for s in self.partition.shards:
-                slices.append(data[s.nnz_lo:s.nnz_hi])
         for block, vals in zip(self._shard_blocks, slices):
             block.data[:] = vals
         sup = self._supervisor
         if sup is None or self._backend_state != "process":
-            return self
+            return
         for s in self.partition.shards:
             if not sup.healthy(s.index):
                 continue
@@ -1335,7 +1101,6 @@ class ProcessShardedSpMV(ShardedSpMV):
                 "plan": None,
             }
             sup.run([(s.index, cmd)])
-        return self
 
     # -- lifecycle ---------------------------------------------------------
 

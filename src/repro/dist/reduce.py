@@ -31,9 +31,9 @@ engine runs them through its replay operand, the shards' cached
 operands stacked into one whole-matrix CSR
 (``ShardedSpMV._replay_operand``).  Replay serves the calls that need
 per-shard streams: products under a shard-level or GPU-substrate
-campaign (which corrupts those streams), the recovery ladder's verified
-streams, and the process backend's worker path.  Transposed streams
-arrive pre-permuted into (col, row) order by
+campaign (which corrupts those streams) and the recovery ladder's
+verified streams.  Transposed streams arrive pre-permuted into
+(col, row) order by
 :meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`.  ``bincount``
 stays the replay primitive: it folds an unsorted grid-order
 concatenation in one pass.  The tree serves partial-vector combines
@@ -105,9 +105,7 @@ def replay_reduce(
     every contribution left-to-right — index ``i``'s entries accumulate
     in exactly their stream order.  When the concatenated order equals
     the single-device decode order (tile-snapped cuts guarantee this),
-    the result is bit-for-bit the single-device product.  ``values``
-    may be ``(entries, k)`` blocks: each column replays independently
-    over the shared index stream, giving a ``(length, k)`` result.
+    the result is bit-for-bit the single-device product.
     """
     live = [(i, v) for i, v in streams if i.size]
     if not live:
@@ -117,9 +115,4 @@ def replay_reduce(
     else:
         idx = np.concatenate([i for i, _ in live])
         val = np.concatenate([v for _, v in live])
-    if val.ndim == 1:
-        return np.bincount(idx, weights=val, minlength=length)
-    return np.column_stack(
-        [np.bincount(idx, weights=val[:, j], minlength=length)
-         for j in range(val.shape[1])]
-    )
+    return np.bincount(idx, weights=val, minlength=length)

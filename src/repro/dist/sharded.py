@@ -57,10 +57,16 @@ the single-engine product, on every grid shape:
   replays the exact single-device summation sequence.  A transposed
   replay puts each shard's streams in (col, row) order with the
   engine's cached permutation
-  (:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`).  The
-  process backend's worker path replays the same way.  Summing rounded
-  per-shard partials could never do this — float addition is not
-  associative.
+  (:meth:`~repro.core.tilespmv.TileSpMV.transpose_orders`).  Summing
+  rounded per-shard partials could never do this — float addition is
+  not associative.
+
+Both backends share this product logic.  A backend differs only in
+where one shard's block runs (:meth:`ShardedSpMV._run_shards`): the
+thread backend runs it on a thread pool, the process backend
+(:class:`~repro.dist.procpool.ProcessShardedSpMV`) in a supervised
+worker process.  Overlapping fixed-strategy products never reach that
+point; they always run in-process.
 
 ``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
 is its job), which rules replay out; its partial vectors are combined
@@ -428,15 +434,30 @@ class ShardedSpMV:
             out = inj.corrupt_partial(rank, attempt, out)
         return out
 
-    def _run_shards(self, op: str, fn) -> list[np.ndarray]:
-        """Apply ``fn(shard, engine)`` per shard, concurrently when safe.
+    def _shard_product(self, op: str, s, e, x: np.ndarray) -> np.ndarray:
+        """One shard's block of ``op``: its engine on its slice of ``x``.
+
+        ``spmv``/``spmm`` read the shard's column window
+        (:meth:`_x_block`); ``spmv_transpose`` reads its row block.
+        """
+        if op == "spmv_transpose":
+            return e.spmv_transpose(x[s.row_lo:s.row_hi])
+        return getattr(e, op)(self._x_block(s, x))
+
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """One :meth:`_shard_product` per shard, concurrently when safe.
 
         Results come back in shard order regardless of completion order,
         so every combine downstream sees a schedule-independent input.
         Every task routes through :meth:`shard_call`, so the shard-level
         fault hooks apply on both the sequential and concurrent paths.
+        This is the one per-shard execution point a backend overrides.
         """
         pairs = list(zip(self.partition.shards, self.engines))
+
+        def fn(s, e):
+            return self._shard_product(op, s, e, x)
+
         if self._sequential():
             parts = []
             for s, engine in pairs:
@@ -750,9 +771,7 @@ class ShardedSpMV:
                        nnz=self._nnz):
             if self.grid_cols > 1:
                 if self.method == "auto":
-                    parts = self._run_shards(
-                        "spmv", lambda s, e: e.spmv(self._x_block(s, x))
-                    )
+                    parts = self._run_shards("spmv", x)
                     c = self.grid_cols
                     y = np.concatenate(
                         [
@@ -763,9 +782,7 @@ class ShardedSpMV:
                 else:
                     y = self._replay(x)
             else:
-                parts = self._run_shards(
-                    "spmv", lambda s, e: e.spmv(self._x_block(s, x))
-                )
+                parts = self._run_shards("spmv", x)
                 y = np.concatenate(parts) if parts else np.zeros(0)
         if tele.ENABLED:
             tele.count("sharded_spmv_total", shards=self.shards)
@@ -793,9 +810,7 @@ class ShardedSpMV:
                        nnz=self._nnz, k=x.shape[1]):
             if self.grid_cols > 1:
                 if self.method == "auto":
-                    parts = self._run_shards(
-                        "spmm", lambda s, e: e.spmm(self._x_block(s, x))
-                    )
+                    parts = self._run_shards("spmm", x)
                     c = self.grid_cols
                     out = np.concatenate(
                         [
@@ -807,9 +822,7 @@ class ShardedSpMV:
                 else:
                     out = self._replay(x)
             else:
-                parts = self._run_shards(
-                    "spmm", lambda s, e: e.spmm(self._x_block(s, x))
-                )
+                parts = self._run_shards("spmm", x)
                 out = (
                     np.concatenate(parts, axis=0)
                     if parts
@@ -839,10 +852,7 @@ class ShardedSpMV:
         with tele.span("sharded_spmv_transpose", cat="kernel",
                        shards=self.shards, nnz=self._nnz):
             if self.method == "auto":
-                parts = self._run_shards(
-                    "spmv_transpose",
-                    lambda s, e: e.spmv_transpose(x[s.row_lo:s.row_hi]),
-                )
+                parts = self._run_shards("spmv_transpose", x)
                 if self.grid is None:
                     y = tree_reduce(parts) if parts else np.zeros(self._n)
                 else:
@@ -891,16 +901,20 @@ class ShardedSpMV:
             data = np.asarray(values, dtype=np.float64)
             if data.shape != (self._nnz,):
                 raise ValueError(f"expected {self._nnz} values, got {data.shape}")
+        if self._nnz_idx is not None:
+            slices = [data[sel] for sel in self._nnz_idx]
+        else:
+            slices = [data[s.nnz_lo:s.nnz_hi] for s in self.partition.shards]
+        self._apply_values(slices)
+        return self
+
+    def _apply_values(self, slices: list[np.ndarray]) -> None:
+        """Hand each shard its value slice, checked by :meth:`update_values`."""
         with tele.span("sharded_update_values", cat="build", shards=self.shards):
-            if self._nnz_idx is not None:
-                for sel, engine in zip(self._nnz_idx, self.engines):
-                    engine.update_values(data[sel])
-            else:
-                for s, engine in zip(self.partition.shards, self.engines):
-                    engine.update_values(data[s.nnz_lo:s.nnz_hi])
+            for engine, vals in zip(self.engines, slices):
+                engine.update_values(vals)
         # The replay operand holds the old values; its structure stays.
         self._operand = None
-        return self
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -191,6 +191,81 @@ class TestBitForBit:
             assert np.array_equal(eng @ x, eng.spmv(x))
 
 
+# -- routing ---------------------------------------------------------------
+
+
+def _routing_matrix():
+    return power_law(300, avg_degree=5, seed=6)
+
+
+class TestRouting:
+    """Workers run row-disjoint blocks; overlapping products stay home."""
+
+    def test_overlapping_products_skip_the_workers(self):
+        a = _routing_matrix()
+        single = TileSpMV(a, method="adpt")
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(a.shape[1])
+        xt = rng.standard_normal(a.shape[0])
+        xs = rng.standard_normal((a.shape[1], 3))
+        cases = [
+            (None, "spmv_transpose", xt),
+            ((2, 2), "spmv_transpose", xt),
+            ((2, 2), "spmv", x),
+            ((2, 2), "spmm", xs),
+        ]
+        for grid, op, arg in cases:
+            with ShardedSpMV(a, shards=2, grid=grid, method="adpt",
+                             backend="process") as eng:
+                sup = eng.supervisor
+                trips = sup.counters["round_trips"]
+                counts = list(eng.shard_exec_counts)
+                y = getattr(eng, op)(arg)
+                assert sup.counters["round_trips"] == trips, (grid, op)
+                assert eng.shard_exec_counts == [c + 1 for c in counts]
+                assert y.tobytes() == getattr(single, op)(arg).tobytes()
+
+    def test_row_disjoint_spmv_takes_one_trip_per_shard(self):
+        a = _routing_matrix()
+        x = np.linspace(-1.0, 1.0, a.shape[1])
+        with ShardedSpMV(a, shards=2, method="adpt", backend="process") as eng:
+            trips = eng.supervisor.counters["round_trips"]
+            y = eng.spmv(x)
+            assert eng.supervisor.counters["round_trips"] == trips + 2
+            assert eng.shard_exec_counts == [1, 1]
+            assert y.tobytes() == TileSpMV(a, method="adpt").spmv(x).tobytes()
+
+    def test_no_product_overrides(self):
+        # The process backend changes where a shard block runs, never a
+        # product: any product name it carries is the parent's function.
+        for name in ("spmv", "spmm", "spmv_transpose", "__matmul__"):
+            own = ProcessShardedSpMV.__dict__.get(name)
+            assert own is None or own is ShardedSpMV.__dict__[name]
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize("grid,op", [
+        (None, "spmv_transpose"),
+        ((2, 2), "spmv_transpose"),
+        ((2, 2), "spmv"),
+    ])
+    def test_campaign_matches_thread_backend(self, grid, op):
+        a = _routing_matrix()
+        n = a.shape[0] if op == "spmv_transpose" else a.shape[1]
+        x = np.random.default_rng(12).standard_normal(n)
+        clean = getattr(TileSpMV(a, method="adpt"), op)(x)
+        plan = ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(0,),
+                              halo_devices=(1,))
+        outs = []
+        for backend in ("thread", "process"):
+            with ShardedSpMV(a, shards=2, grid=grid, method="adpt",
+                             backend=backend) as eng:
+                with shard_fault_injection(plan) as inj:
+                    outs.append(getattr(eng, op)(x).tobytes())
+                assert inj.injected > 0
+        assert outs[0] == outs[1]
+        assert outs[0] != clean.tobytes()
+
+
 # -- supervision campaigns -------------------------------------------------
 
 

@@ -191,6 +191,18 @@ def test_check_process_backend_worker_kill_drill(capsys, mtx_file):
     assert "shard drill" not in out
 
 
+def test_check_process_worker_kill_drill_on_column_cut_grid(capsys, mtx_file):
+    # Column-cut products run in-process, so the drill shards by rows at
+    # the grid's shard count to reach a worker.
+    assert main(["check", mtx_file, "--faults", "--grid", "1x2",
+                 "--backend", "process"]) == 0
+    out = capsys.readouterr().out
+    assert "worker-kill drill (seed=7, row blocks P=2)" in out
+    assert "respawns=1" in out
+    assert "localized respawn+replay: True" in out
+    assert "recovered result correct: True" in out
+
+
 def test_check_drill_persistent_structured_failure(capsys, mtx_file):
     import json
 
