@@ -13,7 +13,12 @@ per matrix and shard count:
   one shard; the naive rebuild prices all of them),
 * a recovery drill: one campaign per seed in ``FAULT_SEEDS``; the run
   fails unless every recovered product is bit-equal to the fault-free
-  single-device reference and only the faulty shard re-executed.
+  single-device reference and only the faulty shard re-executed,
+* measured fault-free wall time, one row per matrix: the median
+  ``RecoverableShardedSpMV.spmv`` over the median bare
+  ``ShardedSpMV.spmv`` (alternating samples) on 1D P=2, 1D P=4 and a
+  2x2 grid, as ``wall_ratio``.  Reported, not gated: it shows what the
+  per-shard verification costs in wall time on this host.
 
 Results land in a JSON file (default ``BENCH_dist_recovery.json``) so
 CI can archive them.  ``--quick`` uses two small synthetic matrices at
@@ -42,7 +47,18 @@ from repro.dist import (
 )
 from repro.gpu.device import A100, TITAN_RTX
 
+from bench_procpool import _paired_ratio
+
 FAULT_SEEDS = (0, 17, 4242)
+
+# Partitions of the measured wall-time row.
+WALL_PARTITIONS = (
+    ("1d_p2", {"shards": 2}),
+    ("1d_p4", {"shards": 4}),
+    ("grid_2x2", {"grid": (2, 2)}),
+)
+# Alternating wall-clock samples per engine in that row (median).
+WALL_REPEATS = 7
 
 
 def _matrices(quick: bool):
@@ -117,6 +133,22 @@ def bench_matrix(name, matrix, shards, device) -> dict:
     }
 
 
+def bench_wall(name, matrix) -> dict:
+    """Measured fault-free ``spmv``: recoverable vs bare, per partition."""
+    x = np.random.default_rng(1).standard_normal(matrix.shape[1])
+    row = {"matrix": name, "nnz": int(matrix.nnz), "recoverable_ms": {},
+           "wall_ratio": {}, "bit_exact": True}
+    for label, part in WALL_PARTITIONS:
+        with ShardedSpMV(matrix, **part) as bare, \
+                RecoverableShardedSpMV(matrix, **part) as rec:
+            # Also the warm-up: pools, replay operands.
+            row["bit_exact"] &= rec.spmv(x).tobytes() == bare.spmv(x).tobytes()
+            wall, ratio = _paired_ratio(rec.spmv, bare.spmv, x, WALL_REPEATS)
+        row["recoverable_ms"][label] = wall * 1e3
+        row["wall_ratio"][label] = ratio
+    return row
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small synthetic set (CI smoke)")
@@ -127,7 +159,13 @@ def main(argv=None) -> int:
     shard_counts = (2, 4) if args.quick else (2, 4, 8)
 
     rows = []
+    wall = []
     for name, matrix in _matrices(args.quick):
+        wall.append(bench_wall(name, matrix))
+        print(
+            f"{name:18s} fault-free wall, recoverable / bare spmv: "
+            + "  ".join(f"{k} {v:5.2f}x" for k, v in wall[-1]["wall_ratio"].items())
+        )
         for shards in shard_counts:
             row = bench_matrix(name, matrix, shards, device)
             rows.append(row)
@@ -142,7 +180,8 @@ def main(argv=None) -> int:
     all_recovered = all(r["recovered"] == r["campaigns"] for r in rows)
     all_localized = all(r["localized"] == r["campaigns"] for r in rows)
     min_speedup = min(r["localized_speedup"] for r in rows)
-    ok = all_recovered and all_localized and min_speedup >= 1.0
+    wall_exact = all(w["bit_exact"] for w in wall)
+    ok = all_recovered and all_localized and min_speedup >= 1.0 and wall_exact
     payload = {
         "device": device.name,
         "quick": args.quick,
@@ -152,10 +191,12 @@ def main(argv=None) -> int:
         "min_localized_speedup": min_speedup,
         "pass": ok,
         "rows": rows,
+        "wall": wall,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"\nrecovery {'bit-exact' if all_recovered else 'WRONG'}; "
+        f"fault-free products {'bit-exact' if wall_exact else 'WRONG'}; "
         f"localization {'holds' if all_localized else 'BROKEN'}; "
         f"min localized speedup {min_speedup:.2f}x -> "
         f"{'PASS' if ok else 'FAIL'}"

@@ -84,20 +84,21 @@ def _median_wall(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def _paired_ratio(fn_p, fn_t, x, repeats: int) -> tuple[float, float]:
-    """Process vs thread wall time of one product: (median wall, ratio).
+def _paired_ratio(fn_a, fn_b, x, repeats: int) -> tuple[float, float]:
+    """``fn_a`` vs ``fn_b`` wall time of one product: (median of ``fn_a``,
+    ratio of medians).
 
     Samples alternate between the two engines, so a slow spell on the
     host lands on both sides of the ratio instead of on one.
     """
-    proc, thread = [], []
+    a, b = [], []
     for _ in range(repeats):
-        for fn, out in ((fn_p, proc), (fn_t, thread)):
+        for fn, out in ((fn_a, a), (fn_b, b)):
             t0 = time.perf_counter()
             fn(x)
             out.append(time.perf_counter() - t0)
-    wall = float(np.median(proc))
-    return wall, wall / float(np.median(thread))
+    wall = float(np.median(a))
+    return wall, wall / float(np.median(b))
 
 
 def bench_overlap(name, matrix, repeats: int) -> dict:

@@ -24,12 +24,7 @@ True
 
 from repro import telemetry
 from repro.core import PlanCache, SelectionConfig, TileMatrix, TileSpMV, tile_spmv
-from repro.dist import (
-    ShardedSpMV,
-    partition_rows,
-    sharded_conjugate_gradient,
-    sharded_pagerank,
-)
+from repro.dist import ShardedSpMV, partition_rows
 from repro.formats import FormatID
 from repro.gpu import (
     A100,
@@ -79,8 +74,6 @@ __all__ = [
     "MultiDeviceRunCost",
     "ShardedSpMV",
     "partition_rows",
-    "sharded_conjugate_gradient",
-    "sharded_pagerank",
     "ReliableSpMV",
     "ValidationPolicy",
     "MatrixValidationError",

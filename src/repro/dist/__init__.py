@@ -59,7 +59,6 @@ from repro.dist.recovery import (
 )
 from repro.dist.reduce import replay_reduce, tree_reduce, tree_schedule
 from repro.dist.sharded import ShardedSpMV, best_shard_count, modelled_shard_sweep
-from repro.dist.solvers import sharded_conjugate_gradient, sharded_pagerank
 
 __all__ = [
     "RowShard",
@@ -75,8 +74,6 @@ __all__ = [
     "ShardedSpMV",
     "modelled_shard_sweep",
     "best_shard_count",
-    "sharded_conjugate_gradient",
-    "sharded_pagerank",
     "DeviceLostError",
     "ShardFaultPlan",
     "ShardFaultInjector",

@@ -906,16 +906,17 @@ class ProcessShardedSpMV(ShardedSpMV):
             self._supervisor = sup
             sup.start()
 
-    def _build_engine(self, s, block, tile: int, **tile_kwargs) -> None:
+    def _build_engine(self, s, block) -> None:
         # Stash the canonical shard block: it is the payload of the
         # plan wire format and the source of truth for update_values.
         self._shard_blocks.append(block)
-        self._wire_config = dict(tile_kwargs)
-        self._wire_config.update(method=self.method, tile=tile)
-        super()._build_engine(s, block, tile, **tile_kwargs)
+        super()._build_engine(s, block)
 
     def _make_wire(self, i: int) -> bytes:
-        return pack_shard_plan(self._shard_blocks[i], **self._wire_config)
+        return pack_shard_plan(
+            self._shard_blocks[i], **self._tile_kwargs,
+            method=self.method, tile=self._tile,
+        )
 
     # -- state machine -----------------------------------------------------
 
@@ -1031,18 +1032,12 @@ class ProcessShardedSpMV(ShardedSpMV):
         backend shard.
         """
         sup = self._supervisor
-
-        def local(s, e):
-            return self.shard_call(
-                op, s, e, lambda s_, e_: self._shard_product(op, s_, e_, x)
-            )
-
         self._write_x(x)
         parts: list = [None] * len(self.engines)
         commands = []
-        for s, e in zip(self.partition.shards, self.engines):
+        for s in self.partition.shards:
             if not sup.healthy(s.index):
-                parts[s.index] = local(s, e)
+                parts[s.index] = self._shard_block(op, s.index, x)
                 continue
             if op == "spmv_transpose":
                 out_len = (
@@ -1055,7 +1050,7 @@ class ProcessShardedSpMV(ShardedSpMV):
         replies = sup.run(commands)
         for (i, _cmd), reply in zip(commands, replies):
             if reply is None:  # quarantined mid-operation
-                parts[i] = local(self.partition.shards[i], self.engines[i])
+                parts[i] = self._shard_block(op, i, x)
                 continue
             shape = tuple(reply["shape"])
             count = int(np.prod(shape)) if shape else 0

@@ -1,9 +1,12 @@
 """Shard-level recovery ladder for the multi-device engine.
 
-:class:`RecoverableShardedSpMV` wraps a
-:class:`~repro.dist.sharded.ShardedSpMV` with the fault-containment
-ladder a multi-device deployment needs — each rung strictly cheaper
-than the one below it:
+:class:`RecoverableShardedSpMV` is a
+:class:`~repro.dist.sharded.ShardedSpMV` whose per-shard execution
+points — :meth:`~repro.dist.sharded.ShardedSpMV._run_shards` and the
+verified-stream :meth:`~repro.dist.sharded.ShardedSpMV._replay` — run
+inside the fault-containment ladder a multi-device deployment needs,
+each rung strictly cheaper than the one below it.  Products, guards
+and combines stay the parent's:
 
 1. **Localize** — every shard's contribution is verified independently
    with a per-shard Huang-Abraham column checksum
@@ -26,11 +29,12 @@ than the one below it:
    flagged inexact (:attr:`last_exact`) rather than silently blessed.
 4. **Quarantine + repartition** — a device whose per-shard circuit
    breaker trips (``failure_threshold`` consecutive failures) is
-   quarantined for good and the matrix is repartitioned over the P-1
-   survivor ranks.  Only this rung rebuilds the full engine; the
-   rebuilt product is again bit-for-bit the single-device one.
+   quarantined for good and the engine repartitions itself in place
+   over the P-1 survivor ranks, then runs the product again.  Only
+   this rung rebuilds the shard plans; the rebuilt product is again
+   bit-for-bit the single-device one.
 
-Exactness: rungs 1, 2 and 4 preserve PR 6's replay-reduction guarantee
+Exactness: rungs 1, 2 and 4 keep the sharded engine's exactness guarantee
 — a recovered run equals the single-device product *exactly*, because
 retried shards re-emit the same canonical streams/blocks and the
 combine (concatenation or ordered replay) is unchanged.  Only parity
@@ -53,11 +57,9 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.core.tilespmv import TileSpMV
 from repro.dist.faults import DeviceLostError
-from repro.dist.reduce import tree_reduce
 from repro.dist.sharded import ShardedSpMV
 from repro.gpu.costmodel import MultiDeviceRunCost, RunCost
 from repro.reliability.abft import CHECK_SLACK
-from repro.reliability.validation import ValidationPolicy, canonicalize_csr
 from repro.serving.breaker import BreakerConfig, BreakerState, CircuitBreaker
 
 __all__ = [
@@ -152,14 +154,23 @@ class ShardCheck:
         return bool(np.all(resid <= self.tolerance(x_local, terms)))
 
 
-class RecoverableShardedSpMV:
-    """A :class:`ShardedSpMV` behind the shard-level recovery ladder.
+class _Repartitioned(Exception):
+    """Internal: a quarantine rebuilt the partition; the product restarts."""
 
-    Construction mirrors ``ShardedSpMV`` (same partitioning, same
-    per-shard plans, same plan cache) plus a :class:`RecoveryConfig`.
-    ``spmv``/``spmm`` run all shards — concurrently whenever the inner
-    engine would — then verify each shard's contribution independently
-    and walk the ladder for the failures.  ``spmv_transpose`` delegates
+
+class RecoverableShardedSpMV(ShardedSpMV):
+    """A :class:`ShardedSpMV` whose shard execution runs the recovery ladder.
+
+    Construction is ``ShardedSpMV``'s (same partitioning, same per-shard
+    plans, same plan cache) plus a :class:`RecoveryConfig`, on the
+    thread backend only.  The products, their guards and their combines
+    are the parent's; this class wraps the two points where shards
+    execute.  :meth:`_run_shards` (row-disjoint and ``auto`` blocks)
+    runs every shard — concurrently whenever the parent would — then
+    verifies each block independently and walks the ladder for the
+    failures.  :meth:`_replay` does the same for a column-cut
+    fixed-method ``spmv``/``spmm``'s canonical streams, then replays
+    the verified streams.  ``spmv_transpose`` passes through both
     unprotected (every shard contributes to overlapping output ranges;
     protecting it per-shard is future work, see docs/RELIABILITY.md).
 
@@ -172,34 +183,9 @@ class RecoverableShardedSpMV:
     parity reconstruction).
     """
 
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        shards: int = 2,
-        method: str = "adpt",
-        tile: int = 16,
-        plan_cache=None,
-        max_workers: int | None = None,
-        validation: ValidationPolicy | str = ValidationPolicy.REPAIR,
-        grid: tuple[int, int] | str | int | None = None,
-        config: RecoveryConfig | None = None,
-        **tile_kwargs,
-    ) -> None:
-        if tile_kwargs.pop("backend", "thread") == "process":
-            raise ValueError(
-                "RecoverableShardedSpMV runs on the thread backend; the "
-                "process backend (ProcessShardedSpMV) carries its own "
-                "supervisor ladder instead of the recovery ladder"
-            )
+    def __init__(self, matrix: sp.spmatrix, *args,
+                 config: RecoveryConfig | None = None, **kwargs) -> None:
         self.config = config or RecoveryConfig()
-        csr, self.validation_report = canonicalize_csr(matrix, validation)
-        self._csr = csr
-        self._tile = tile
-        self._method = method
-        self._plan_cache = plan_cache
-        self._max_workers = max_workers
-        self._grid_arg = grid
-        self._tile_kwargs = dict(tile_kwargs)
         self.counters = {
             "shard_detected": 0,
             "shard_retry": 0,
@@ -214,16 +200,15 @@ class RecoverableShardedSpMV:
         self.last_exact = True
         self._breakers: dict[int, CircuitBreaker] = {}
         self._rebuild_costs: list[RunCost] = []
-        self.inner = ShardedSpMV(
-            csr, shards=shards, method=method, tile=tile,
-            plan_cache=plan_cache, max_workers=max_workers,
-            validation="trust", grid=grid, **self._tile_kwargs,
-        )
+        self._depth = 0  # repartitions within the current product
+        super().__init__(matrix, *args, **kwargs)
+
+    def _build(self, csr, grid, shards, device_ranks=None) -> None:
+        """The parent's partition, plus its checksums and parity device."""
+        super()._build(csr, grid, shards, device_ranks)
+        self._csr = csr
         self._init_checks()
-        self._parity_engine = None
-        self._parity_rows = 0
-        if self.config.parity:
-            self._build_parity()
+        self._build_parity()
 
     # -- per-shard checksums ----------------------------------------------
 
@@ -237,20 +222,12 @@ class RecoverableShardedSpMV:
 
     def _init_checks(self) -> None:
         """One :class:`ShardCheck` per shard of the current partition."""
-        indices = np.asarray(self._csr.indices, dtype=np.int64)
         data = np.asarray(self._csr.data, dtype=np.float64)
         checks = []
-        for i, s in enumerate(self.inner.partition.shards):
-            if self.inner._nnz_idx is not None:
-                sel = self.inner._nnz_idx[i]
-                cols = indices[sel] - s.col_lo
-                vals = data[sel]
-                width = s.block_cols
-            else:
-                sel = slice(s.nnz_lo, s.nnz_hi)
-                cols = indices[sel]
-                vals = data[sel]
-                width = self._csr.shape[1]
+        for s, sel in zip(self.partition.shards, self._value_selectors()):
+            cols = self._indices[sel] - self._col_offset(s)
+            vals = data[sel]
+            width = s.block_cols if self.grid is not None else self._n
             checks.append(
                 ShardCheck(
                     col_sum=np.bincount(cols, weights=vals, minlength=width)[:width],
@@ -263,16 +240,20 @@ class RecoverableShardedSpMV:
             )
         self._checks = checks
 
+    def _x_local(self, s, x: np.ndarray) -> np.ndarray:
+        """The x window shard ``s``'s check reads (no halo fault hook)."""
+        return x[s.col_lo:s.col_hi] if self.grid is not None else x
+
     def _build_parity(self) -> None:
         """The parity device's matrix: every row block shifted to row 0.
 
-        Only meaningful for row-disjoint partitions (1D or C=1 grids);
-        a column-cut grid silently skips parity — rung 3 is documented
-        as row-block-only.
+        Only built with ``RecoveryConfig(parity=True)`` on row-disjoint
+        partitions (1D or C=1 grids); a column-cut grid silently skips
+        parity — rung 3 is documented as row-block-only.
         """
         self._parity_engine = None
         self._parity_rows = 0
-        if self.inner.grid_cols > 1 or self.inner.shards < 2:
+        if not self.config.parity or self.grid_cols > 1 or self.shards < 2:
             return
         csr = self._csr
         m, n = csr.shape
@@ -282,7 +263,7 @@ class RecoverableShardedSpMV:
         # Translate each global row to its shard-local index.
         row_lo = np.zeros(m, dtype=np.int64)
         heights = []
-        for s in self.inner.partition.shards:
+        for s in self.partition.shards:
             row_lo[s.row_lo:s.row_hi] = s.row_lo
             heights.append(s.rows)
         self._parity_rows = max(heights) if heights else 0
@@ -294,55 +275,17 @@ class RecoverableShardedSpMV:
             shape=(self._parity_rows, n),
         )
         self._parity_engine = TileSpMV(
-            parity, method=self._method, tile=self._tile,
-            plan_cache=self._plan_cache, validation="trust",
+            parity, method=self.method, tile=self._tile,
+            plan_cache=self.plan_cache, validation="trust",
             **self._tile_kwargs,
         )
 
-    # -- basic properties --------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.inner.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.inner.nnz
-
-    @property
-    def method(self) -> str:
-        return self.inner.method
-
-    @property
-    def shards(self) -> int:
-        return self.inner.shards
-
-    @property
-    def grid(self):
-        return self.inner.grid
-
-    @property
-    def shard_exec_counts(self) -> list[int]:
-        """Per-shard execution counters of the current inner engine."""
-        return self.inner.shard_exec_counts
-
     @property
     def plan_keys(self) -> list[str]:
-        keys = list(self.inner.plan_keys)
+        keys = super().plan_keys
         if self._parity_engine is not None and self._parity_engine.plan_key:
             keys.append(self._parity_engine.plan_key)
         return keys
-
-    @property
-    def plan_key(self) -> str | None:
-        key = self.inner.plan_key
-        if key is None:
-            return None
-        if self._parity_engine is None:
-            return key
-        h = hashlib.blake2b(digest_size=16)
-        h.update(f"recoverable:{key}:parity".encode())
-        return h.hexdigest()
 
     # -- the ladder --------------------------------------------------------
 
@@ -357,28 +300,10 @@ class RecoverableShardedSpMV:
             1.0 + cfg.backoff_jitter * u
         )
 
-    def _attempt_all(self, indices: list[int], runner) -> list:
-        """First pass: run the listed shards, capturing device losses.
-
-        Threads through the inner engine's pool exactly when the inner
-        engine itself would thread, so campaigns exercise the real
-        concurrent path.
-        """
-        def one(i: int):
-            try:
-                return ("ok", runner(i))
-            except DeviceLostError as exc:
-                return ("lost", exc)
-
-        if self.inner._sequential() or len(indices) == 1:
-            return [one(i) for i in indices]
-        return list(self.inner._pool().map(one, indices))
-
     def _charge_stragglers(self, before: list[float]) -> None:
         """Add this pass's modelled straggler makespan to the clock."""
-        after = self.inner.shard_delay_s
         delta = max(
-            (a - b for a, b in zip(after, before)), default=0.0
+            (a - b for a, b in zip(self.shard_delay_s, before)), default=0.0
         )
         if delta > 0:
             self.clock += delta
@@ -390,7 +315,7 @@ class RecoverableShardedSpMV:
         faulty (escalation: parity, then quarantine).
         """
         cfg = self.config
-        rank = self.inner.device_ranks[i]
+        rank = self.device_ranks[i]
         breaker = self._breaker(rank)
         self.counters["shard_detected"] += 1
         if tele.ENABLED:
@@ -429,7 +354,7 @@ class RecoverableShardedSpMV:
             breaker.record_failure(self.clock, reason)
         return None
 
-    def _reconstruct(self, x, k: int | None, failed: int, blocks: list):
+    def _reconstruct(self, x, failed: int, blocks: list):
         """Rung 3: rebuild one lost row block from the parity product.
 
         ``blocks`` holds the P verified shard blocks (``None`` at
@@ -440,31 +365,21 @@ class RecoverableShardedSpMV:
         """
         if self._parity_engine is None:
             return None
+        shards = self.partition.shards
         with tele.span("shard_reconstruct", cat="dist", shard=failed):
-            y_par = (
-                self._parity_engine.spmv(x)
-                if k is None
-                else self._parity_engine.spmm(x)
+            par = self._parity_engine
+            acc = (par.spmv(x) if x.ndim == 1 else par.spmm(x)).astype(
+                np.float64, copy=True
             )
-            acc = y_par.astype(np.float64, copy=True)
             for j, blk in enumerate(blocks):
-                if j == failed or blk is None:
-                    continue
-                rows_j = self.inner.partition.shards[j].rows
-                if k is None:
-                    acc[:rows_j] -= blk
-                else:
-                    acc[:rows_j, :] -= blk
-            rows_q = self.inner.partition.shards[failed].rows
-            y_q = acc[:rows_q] if k is None else acc[:rows_q, :]
-        observed = np.sum(y_q, axis=0)
+                if j != failed and blk is not None:
+                    acc[:shards[j].rows] -= blk
+            y_q = acc[:shards[failed].rows]
         # Cross-device tolerance: the reconstruction sums every block's
-        # roundoff, so the summand count is the whole matrix's.  Slice x
-        # directly — _x_block would re-apply the halo fault hook.
-        s_q = self.inner.partition.shards[failed]
-        x_local = x if self.inner._nnz_idx is None else x[s_q.col_lo:s_q.col_hi]
+        # roundoff, so the summand count is the whole matrix's.
         ok = self._checks[failed].verify_sum(
-            x_local, observed, terms=self.nnz + self.shape[0]
+            self._x_local(shards[failed], x), np.sum(y_q, axis=0),
+            terms=self.nnz + self.shape[0],
         )
         if not ok:
             return None
@@ -475,7 +390,7 @@ class RecoverableShardedSpMV:
         return y_q
 
     def _quarantine(self, ranks: list[int]) -> None:
-        """Rung 4a: retire the devices; repartition over the survivors."""
+        """Rung 4a: retire the devices; repartition in place over the survivors."""
         for rank in ranks:
             if rank not in self.quarantined:
                 self.quarantined.append(rank)
@@ -484,285 +399,185 @@ class RecoverableShardedSpMV:
                     tele.count("device_quarantines_total")
                 with tele.span("device_quarantine", cat="dist", device=rank):
                     pass
-        survivors = [r for r in self.inner.device_ranks if r not in self.quarantined]
+        survivors = [r for r in self.device_ranks if r not in self.quarantined]
         if not survivors:
             raise ShardRecoveryError(
                 "every device is quarantined; no survivors to repartition over"
             )
-        old = self.inner
         # Repartition 1D over the survivor count: a grid whose factor
-        # no longer matches P-1 degrades canonically to row blocks.
-        self.inner = ShardedSpMV(
-            self._csr, shards=len(survivors), method=self._method,
-            tile=self._tile, plan_cache=self._plan_cache,
-            max_workers=self._max_workers, validation="trust",
-            device_ranks=survivors, **self._tile_kwargs,
-        )
-        old.close()
-        self._init_checks()
+        # no longer matches P-1 degrades canonically to row blocks.  The
+        # old pool is sized for the old shards; the next product starts
+        # a fresh one.
+        self.close()
+        self._build(self._csr, None, len(survivors), survivors)
         self.counters["repartitions"] += 1
-        self._rebuild_costs.append(self.inner.run_cost())
-        if self.config.parity:
-            # The parity block layout depends on the partition heights.
-            self._build_parity()
+        self._rebuild_costs.append(super().run_cost())
 
-    def _ladder(self, op: str, x, k: int | None, runner, checker, depth: int = 0):
-        """Run shards, verify each, recover failures, return the blocks.
+    def _ladder(self, op: str, x, runner, checker) -> list:
+        """Run every shard, verify each, recover the failures.
 
-        Returns ``(blocks, failed_after_parity)`` where ``blocks`` is
-        the per-shard verified result list and the second element names
-        devices that must be quarantined (the caller then repartitions
-        and recomputes).  ``None`` entries only survive when parity
-        reconstructed them is impossible — the caller escalates.
+        ``runner(i)`` executes shard ``i`` once (through
+        :meth:`shard_call`); ``checker(i, result)`` verifies it.  The
+        first pass runs through the parent's :meth:`_map_shards`, so it
+        threads exactly when the parent would.  Returns the per-shard
+        verified results.  When a shard stays unrecovered (and parity
+        cannot rebuild it), its device is quarantined, the engine
+        repartitions, and :class:`_Repartitioned` tells :meth:`spmv` /
+        :meth:`spmm` to run the product again.
         """
-        before = list(self.inner.shard_delay_s)
-        outcomes = self._attempt_all(list(range(self.inner.shards)), runner)
+        def first(i: int):
+            try:
+                return ("ok", runner(i))
+            except DeviceLostError as exc:
+                return ("lost", exc)
+
+        before = list(self.shard_delay_s)
+        outcomes = self._map_shards(op, first)
         self._charge_stragglers(before)
-        blocks: list = [None] * self.inner.shards
+        blocks: list = [None] * self.shards
         failures: list[tuple[int, str]] = []
         for i, (status, payload) in enumerate(outcomes):
             if status == "lost":
                 failures.append((i, "device_loss"))
             elif checker(i, payload):
                 blocks[i] = payload
-                self._breaker(self.inner.device_ranks[i]).record_success(self.clock)
+                self._breaker(self.device_ranks[i]).record_success(self.clock)
             else:
                 failures.append((i, "abft"))
-        if not failures:
-            self.counters["verified_ok"] += 1
-            return blocks
         for i, reason in failures:
             blocks[i] = self._recover_shard(op, i, runner, checker, reason)
-        unrecovered = [i for i in range(self.inner.shards) if blocks[i] is None]
+        unrecovered = [i for i in range(self.shards) if blocks[i] is None]
         if not unrecovered:
             self.counters["verified_ok"] += 1
             return blocks
         # Rung 3: one lost row block, everything else verified (only
         # reachable with the parity engine armed, i.e. row-disjoint).
-        if len(unrecovered) == 1 and op in ("spmv", "spmm"):
-            y_q = self._reconstruct(x, k, unrecovered[0], blocks)
+        if len(unrecovered) == 1:
+            y_q = self._reconstruct(x, unrecovered[0], blocks)
             if y_q is not None:
                 blocks[unrecovered[0]] = y_q
                 # The device is still bad: quarantine it for *future*
                 # calls, but this product is already complete.
-                rank = self.inner.device_ranks[unrecovered[0]]
+                rank = self.device_ranks[unrecovered[0]]
                 if self._breaker(rank).state is BreakerState.OPEN:
                     self._quarantine([rank])
                 self.counters["verified_ok"] += 1
                 return blocks
         # Rung 4: quarantine + repartition + full recompute on survivors.
-        if depth >= len(self._breakers) + self.inner.shards + 1:
+        if self._depth >= len(self._breakers) + self.shards + 1:
             raise ShardRecoveryError(
                 "recovery ladder failed to converge; matrix or substrate "
                 "is persistently corrupting every repartition"
             )
-        bad = [self.inner.device_ranks[i] for i in unrecovered]
-        self._quarantine(bad)
-        return None  # signal: recompute on the rebuilt engine
+        self._quarantine([self.device_ranks[i] for i in unrecovered])
+        raise _Repartitioned
 
-    # -- products ----------------------------------------------------------
+    # -- the wrapped execution points ----------------------------------------
 
-    def _row_disjoint_product(self, x, k: int | None, depth: int = 0):
-        """spmv/spmm over row-disjoint partitions (1D, C=1 grids)."""
-        op = "spmv" if k is None else "spmm"
-        inner = self.inner
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """Every shard's block, verified: :class:`ShardCheck` on its sum."""
+        if op == "spmv_transpose":
+            return super()._run_shards(op, x)
 
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            fn = (
-                (lambda s_, e_: e_.spmv(inner._x_block(s_, x)))
-                if k is None
-                else (lambda s_, e_: e_.spmm(inner._x_block(s_, x)))
-            )
-            return inner.shard_call(op, s, e, fn)
+        def check(i: int, blk) -> bool:
+            x_local = self._x_local(self.partition.shards[i], x)
+            return self._checks[i].verify_sum(x_local, np.sum(blk, axis=0))
 
-        def checker(i: int, y_blk) -> bool:
-            x_local = (
-                x if inner._nnz_idx is None
-                else x[inner.partition.shards[i].col_lo:inner.partition.shards[i].col_hi]
-            )
-            return self._checks[i].verify_sum(x_local, np.sum(y_blk, axis=0))
+        return self._ladder(op, x, lambda i: self._shard_block(op, i, x), check)
 
-        blocks = self._ladder(op, x, k, runner, checker, depth)
-        if blocks is None:  # repartitioned: recompute over the survivors
-            return self._dispatch(x, k, depth + 1)
-        if not blocks:
-            return np.zeros(0) if k is None else np.zeros((0, k))
-        return np.concatenate(blocks, axis=0)
+    def _replay(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Column-cut fixed-method ``spmv``/``spmm`` from verified streams.
 
-    def _grid_fixed_spmv(self, x, depth: int = 0):
-        """Column-cut fixed-method spmv: verified streams, ordered replay."""
-        inner = self.inner
+        Each shard hands over its canonical streams — gathered
+        contributions for ``spmv`` (halo-corruptible), raw local
+        streams for ``spmm`` — checked as ``sum(vals * x_gather)``
+        against its :class:`ShardCheck`; the verified list replays
+        through :meth:`replay_contribs` / :meth:`replay_spmm_streams`,
+        bit-for-bit the single-device product.
+        """
+        if transpose:
+            return super()._replay(x, transpose=True)
+        batched = x.ndim == 2
 
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            return inner.shard_call(
-                "stream_collect", s, e,
-                lambda s_, e_: inner._stream_contrib(s_, e_, x, False),
-            )
-
-        def checker(i: int, contrib) -> bool:
-            s = inner.partition.shards[i]
-            x_local = x[s.col_lo:s.col_hi]
+        def check(i: int, streams) -> bool:
+            x_local = self._x_local(self.partition.shards[i], x)
             observed = 0.0
-            for c in contrib:
-                if c is None:
-                    continue
-                _, xg, vals = c
-                if not (np.isfinite(xg).all() and np.isfinite(vals).all()):
-                    return False
-                observed += float(np.dot(vals, xg))
-            return self._checks[i].verify_sum(x_local, observed)
-
-        blocks = self._ladder("spmv", x, None, runner, checker, depth)
-        if blocks is None:
-            return self._dispatch(x, None, depth + 1)
-        return inner.replay_contribs(blocks, inner.shape[0], transpose=False)
-
-    def _grid_fixed_spmm(self, x, depth: int = 0):
-        """Column-cut fixed-method spmm: verified raw streams, replay."""
-        inner = self.inner
-        k = x.shape[1]
-
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            return inner.shard_call(
-                "stream_collect", s, e, inner._shard_raw_streams
-            )
-
-        def checker(i: int, streams) -> bool:
-            s = inner.partition.shards[i]
-            x_local = x[s.col_lo:s.col_hi, :]
-            observed = np.zeros(k)
             for half in streams:
                 if half is None:
                     continue
-                _, cols, vals = half
-                if not np.isfinite(vals).all():
+                _, xg, vals = half
+                if batched:
+                    xg = x_local[xg]  # raw streams carry local columns
+                if not (np.isfinite(xg).all() and np.isfinite(vals).all()):
                     return False
-                observed = observed + vals @ x_local[cols, :]
+                observed = observed + vals @ xg
             return self._checks[i].verify_sum(x_local, observed)
 
-        blocks = self._ladder("spmm", x, k, runner, checker, depth)
-        if blocks is None:
-            return self._dispatch(x, k, depth + 1)
-        return inner.replay_spmm_streams(blocks, x)
+        blocks = self._ladder("spmm" if batched else "spmv", x,
+                              lambda i: self._shard_streams(i, x), check)
+        if batched:
+            return self.replay_spmm_streams(blocks, x)
+        return self.replay_contribs(blocks, self._m, transpose=False)
 
-    def _grid_auto_product(self, x, k: int | None, depth: int = 0):
-        """Column-cut ``auto``: verified partials, fixed-shape tree."""
-        inner = self.inner
-        op = "spmv" if k is None else "spmm"
-
-        def runner(i: int):
-            s, e = inner.partition.shards[i], inner.engines[i]
-            fn = (
-                (lambda s_, e_: e_.spmv(inner._x_block(s_, x)))
-                if k is None
-                else (lambda s_, e_: e_.spmm(inner._x_block(s_, x)))
-            )
-            return inner.shard_call(op, s, e, fn)
-
-        def checker(i: int, y_blk) -> bool:
-            s = inner.partition.shards[i]
-            return self._checks[i].verify_sum(
-                x[s.col_lo:s.col_hi], np.sum(y_blk, axis=0)
-            )
-
-        blocks = self._ladder(op, x, k, runner, checker, depth)
-        if blocks is None:
-            return self._dispatch(x, k, depth + 1)
-        c = inner.grid_cols
-        rows = [
-            tree_reduce(blocks[r * c:(r + 1) * c])
-            for r in range(inner.grid_rows)
-        ]
-        return np.concatenate(rows, axis=0)
-
-    def _dispatch(self, x, k: int | None, depth: int = 0):
-        if self.inner.grid_cols <= 1:
-            return self._row_disjoint_product(x, k, depth)
-        if self.inner.method == "auto":
-            return self._grid_auto_product(x, k, depth)
-        if k is None:
-            return self._grid_fixed_spmv(x, depth)
-        return self._grid_fixed_spmm(x, depth)
+    def _restarting(self, product, x):
+        """``product(x)``, re-run on the rebuilt partition after a quarantine."""
+        self._depth = 0
+        while True:
+            try:
+                return product(x)
+            except _Repartitioned:
+                self._depth += 1
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x with per-shard verification and localized recovery."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"x must have shape ({self.shape[1]},)")
         self.last_exact = True
         with tele.span("recoverable_spmv", cat="dist", shards=self.shards):
-            return self._dispatch(x, None)
+            return self._restarting(super().spmv, x)
 
     __matmul__ = spmv
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Y = A @ X with per-shard verification and localized recovery."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ValueError(f"X must have shape ({self.shape[1]}, k)")
         self.last_exact = True
         with tele.span("recoverable_spmm", cat="dist", shards=self.shards,
-                       k=x.shape[1]):
-            return self._dispatch(x, x.shape[1])
+                       k=x.shape[1] if x.ndim == 2 else None):
+            return self._restarting(super().spmm, x)
 
-    def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
-        """y = A.T @ x — delegated to the inner engine, unprotected."""
-        return self.inner.spmv_transpose(x)
-
-    def update_values(self, values) -> "RecoverableShardedSpMV":
-        """Stream new values through every shard, re-arming the checks."""
-        self.inner.update_values(values)
-        if sp.issparse(values):
-            self._csr = canonicalize_csr(values, ValidationPolicy.TRUST)[0]
-        else:
-            data = np.asarray(values, dtype=np.float64)
-            self._csr = sp.csr_matrix(
-                (data, self._csr.indices, self._csr.indptr), shape=self._csr.shape
-            )
+    def _apply_values(self, slices: list[np.ndarray]) -> None:
+        """The parent's value routing, then re-arm checks and parity."""
+        super()._apply_values(slices)
+        data = np.empty(self._nnz)
+        for sel, vals in zip(self._value_selectors(), slices):
+            data[sel] = vals
+        self._csr = sp.csr_matrix(
+            (data, self._indices, self._indptr), shape=self.shape
+        )
         self._init_checks()
-        if self.config.parity:
-            self._build_parity()
-        return self
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __enter__(self) -> "RecoverableShardedSpMV":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._build_parity()
 
     # -- accounting --------------------------------------------------------
 
     def run_cost(self) -> RunCost:
         """Single-device pricing of the protected engine (parity included)."""
-        cost = self.inner.run_cost()
+        cost = super().run_cost()
         if self._parity_engine is not None:
             cost = cost + self._parity_engine.run_cost()
-        cost.label = f"RecoverableShardedSpMV_{self._method}[P={self.shards}]"
+        cost.label = f"RecoverableShardedSpMV_{self.method}[P={self.shards}]"
         return cost
 
     def spmm_cost(self, k: int) -> RunCost:
         cost = self.run_cost().batched(k)
         cost.label = (
-            f"RecoverableShardedSpMV_{self._method}[P={self.shards},k={k}]"
+            f"RecoverableShardedSpMV_{self.method}[P={self.shards},k={k}]"
         )
         return cost
 
     def nbytes_model(self) -> int:
-        total = self.inner.nbytes_model()
+        total = super().nbytes_model()
         if self._parity_engine is not None:
             total += self._parity_engine.nbytes_model()
         return total
-
-    def format_histogram(self):
-        return self.inner.format_histogram()
 
     def multi_device_cost(self, links: int = 0) -> MultiDeviceRunCost:
         """P-device pricing including the recovery and parity terms.
@@ -775,46 +590,28 @@ class RecoverableShardedSpMV:
         A fresh engine with no faults prices identically to the plain
         :meth:`ShardedSpMV.multi_device_cost` plus parity (if armed).
         """
-        mdc = self.inner.multi_device_cost(links=links)
-        itemsize = getattr(self.inner.partition, "itemsize", 8)
-        parity_cost = None
-        parity_bytes = 0.0
+        mdc = super().multi_device_cost(links=links)
+        mdc.label = mdc.label.replace("ShardedSpMV", "RecoverableShardedSpMV")
         if self._parity_engine is not None:
-            parity_cost = self._parity_engine.run_cost()
-            parity_bytes = float(
-                self.shards * self._parity_rows * itemsize
+            mdc.parity_cost = self._parity_engine.run_cost()
+            mdc.parity_bytes = float(
+                self.shards * self._parity_rows * self.partition.itemsize
             )
-        retry_costs = []
-        shard_costs = mdc.shard_costs
-        for ev in self.retry_log:
-            if ev["reason"] == "deadline_exhausted":
-                continue
-            i = min(ev["shard"], len(shard_costs) - 1)
-            retry_costs.append(shard_costs[i])
-        rebuild = None
+        retried = [
+            ev for ev in self.retry_log if ev["reason"] != "deadline_exhausted"
+        ]
+        mdc.retry_backoff_s = float(sum(ev["delay_s"] for ev in retried))
+        last = len(mdc.shard_costs) - 1
+        mdc.retry_costs = [
+            mdc.shard_costs[min(ev["shard"], last)] for ev in retried
+        ] or None
         for rc in self._rebuild_costs:
-            rebuild = rc if rebuild is None else rebuild + rc
-        return MultiDeviceRunCost(
-            shard_costs=mdc.shard_costs,
-            halo_bytes=mdc.halo_bytes,
-            y_bytes=mdc.y_bytes,
-            label=mdc.label.replace("ShardedSpMV", "RecoverableShardedSpMV"),
-            links=links,
-            reduce_bytes=mdc.reduce_bytes,
-            reduce_depth=mdc.reduce_depth,
-            parity_cost=parity_cost,
-            parity_bytes=parity_bytes,
-            retry_backoff_s=float(
-                sum(ev["delay_s"] for ev in self.retry_log
-                    if ev["reason"] != "deadline_exhausted")
-            ),
-            retry_costs=retry_costs or None,
-            rebuild_cost=rebuild,
-        )
+            mdc.rebuild_cost = rc if mdc.rebuild_cost is None else mdc.rebuild_cost + rc
+        return mdc
 
     def describe(self) -> str:
         c = self.counters
-        lines = [self.inner.describe()]
+        lines = [super().describe()]
         lines.append(
             "recovery: "
             + ("parity armed" if self._parity_engine is not None else "no parity")

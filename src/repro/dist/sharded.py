@@ -61,12 +61,16 @@ the single-engine product, on every grid shape:
   rounded per-shard partials could never do this — float addition is
   not associative.
 
-Both backends share this product logic.  A backend differs only in
-where one shard's block runs (:meth:`ShardedSpMV._run_shards`): the
-thread backend runs it on a thread pool, the process backend
+Every subclass shares this product logic and differs only in where
+one shard's block runs (:meth:`ShardedSpMV._run_shards`): the thread
+backend runs it on a thread pool, the process backend
 (:class:`~repro.dist.procpool.ProcessShardedSpMV`) in a supervised
-worker process.  Overlapping fixed-strategy products never reach that
-point; they always run in-process.
+worker process, and the recovery engine
+(:class:`~repro.dist.recovery.RecoverableShardedSpMV`) verifies each
+block and walks its fault ladder around the same call.  Overlapping
+fixed-strategy products never reach that point; they run the replay
+(:meth:`ShardedSpMV._replay`) in-process, which the recovery engine
+wraps the same way.
 
 ``auto`` may arbitrate ADPT vs DeferredCOO differently per shard (that
 is its job), which rules replay out; its partial vectors are combined
@@ -218,20 +222,36 @@ class ShardedSpMV:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.method = method
         self.plan_cache = plan_cache
-        self.grid = _coerce_grid(grid, shards)
-        if self.grid is not None:
-            shards = self.grid[0] * self.grid[1]
+        self._tile = tile
+        self._tile_kwargs = tile_kwargs
+        # Thread cap (None: one per shard), resolved against the current
+        # shard count by _pool().
+        self._max_workers = max_workers
+        self._executor: ThreadPoolExecutor | None = None
         with tele.span("canonicalize", cat="build", policy=str(validation)):
             csr, self.validation_report = canonicalize_csr(matrix, validation)
         self._m, self._n = csr.shape
         self._nnz = int(csr.nnz)
         # The prepared pattern, for update_values' pattern check.
         self._indptr, self._indices = csr.indptr, csr.indices
+        self._build(csr, _coerce_grid(grid, shards), shards, device_ranks)
+
+    def _build(self, csr: sp.csr_matrix, grid: tuple[int, int] | None,
+               shards: int, device_ranks: list[int] | None = None) -> None:
+        """Partition canonical ``csr`` and prepare one plan per shard.
+
+        Everything that depends on the partition is (re)set here, so the
+        recovery ladder's quarantine rung repartitions an engine in place
+        by calling this again over the survivor ranks.
+        """
+        self.grid = grid
+        if grid is not None:
+            shards = grid[0] * grid[1]
         self.partition: RowPartition | GridPartition
-        if self.grid is None:
-            self.partition = partition_rows(csr, shards, tile)
+        if grid is None:
+            self.partition = partition_rows(csr, shards, self._tile)
         else:
-            self.partition = partition_grid(csr, self.grid, tile)
+            self.partition = partition_grid(csr, grid, self._tile)
         self.engines: list[TileSpMV] = []
         # Per-shard gather into the canonical CSR value array, for the
         # update_values routing.  1D shards own contiguous slices; grid
@@ -239,7 +259,7 @@ class ShardedSpMV:
         self._nnz_idx: list[np.ndarray] | None = None
         indptr = np.asarray(csr.indptr, dtype=np.int64)
         with tele.span("sharded_build", cat="build", shards=shards, nnz=self._nnz):
-            if self.grid is None:
+            if grid is None:
                 for s in self.partition.shards:
                     block = sp.csr_matrix(
                         (
@@ -249,7 +269,7 @@ class ShardedSpMV:
                         ),
                         shape=(s.rows, self._n),
                     )
-                    self._build_engine(s, block, tile, **tile_kwargs)
+                    self._build_engine(s, block)
             else:
                 self._nnz_idx = []
                 for s in self.partition.shards:
@@ -271,16 +291,14 @@ class ShardedSpMV:
                         ),
                         shape=(s.rows, s.block_cols),
                     )
-                    self._build_engine(s, block, tile, **tile_kwargs)
+                    self._build_engine(s, block)
         self.build_seconds = sum(e.build_seconds for e in self.engines)
         self.arbitration_seconds = sum(e.arbitration_seconds for e in self.engines)
         self.preprocessing_seconds = self.build_seconds + self.arbitration_seconds
-        self._executor: ThreadPoolExecutor | None = None
-        self._max_workers = max_workers or len(self.engines)
         # Model-device identity per shard: the shard-level fault model
         # and the recovery ladder's quarantine bookkeeping key on the
-        # *device rank*, which survives a repartition (the recovery
-        # engine rebuilds over the P-1 survivor ranks), while shard
+        # *device rank*, which survives a repartition (the quarantine
+        # rung rebuilds over the P-1 survivor ranks), while shard
         # indices are renumbered.
         if device_ranks is not None and len(device_ranks) != len(self.engines):
             raise ValueError(
@@ -306,17 +324,17 @@ class ShardedSpMV:
         self._stack: list | None = None
         self._operand: list | None = None
         if tele.ENABLED:
-            tele.count("sharded_builds_total", shards=shards, method=method)
+            tele.count("sharded_builds_total", shards=shards, method=self.method)
             tele.set_gauge("sharded_imbalance", self.partition.imbalance())
 
-    def _build_engine(self, s, block: sp.csr_matrix, tile: int, **tile_kwargs) -> None:
+    def _build_engine(self, s, block: sp.csr_matrix) -> None:
         with tele.span("shard_build", cat="build", shard=s.index,
                        rows=s.rows, nnz=s.nnz):
             self.engines.append(
                 TileSpMV(
-                    block, method=self.method, tile=tile,
+                    block, method=self.method, tile=self._tile,
                     plan_cache=self.plan_cache, validation="trust",
-                    **tile_kwargs,
+                    **self._tile_kwargs,
                 )
             )
 
@@ -380,7 +398,8 @@ class ShardedSpMV:
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
-                max_workers=min(self._max_workers, len(self.engines)),
+                max_workers=min(self._max_workers or len(self.engines),
+                                len(self.engines)),
                 thread_name_prefix="shard",
             )
         return self._executor
@@ -405,6 +424,26 @@ class ShardedSpMV:
             or faults.active_injector() is not None
         )
 
+    def _map_shards(self, op: str, task) -> list:
+        """``task(i)`` for every shard index, concurrently when safe.
+
+        The one threading decision: a sequential loop (one
+        ``shard_execute`` span per shard) when :meth:`_sequential`
+        holds, else the thread pool.  Results come back in shard order
+        regardless of completion order, so every combine downstream sees
+        a schedule-independent input.  :meth:`_run_shards` and the
+        recovery ladder's first pass both run through here.
+        """
+        shards = self.partition.shards
+        if self._sequential():
+            out = []
+            for s in shards:
+                with tele.span("shard_execute", cat="kernel", op=op,
+                               shard=s.index, rows=s.rows, nnz=s.nnz):
+                    out.append(task(s.index))
+            return out
+        return list(self._pool().map(task, range(len(shards))))
+
     def shard_call(self, op: str, s, engine, fn):
         """One shard execution through the shard-level fault hooks.
 
@@ -416,8 +455,9 @@ class ShardedSpMV:
         (modelled delay recorded in :attr:`shard_delay_s`), or hand
         back a corrupted partial.  Halo corruption hits inside
         :meth:`_x_block` / the stream gather, where the x window is
-        actually sliced.  The recovery ladder calls this directly to
-        re-execute exactly one shard.
+        actually sliced.  Every shard task runs through here, so the
+        recovery ladder re-executes exactly one shard by calling this
+        once more for it.
         """
         attempt = self.shard_exec_counts[s.index]
         self.shard_exec_counts[s.index] = attempt + 1
@@ -444,30 +484,21 @@ class ShardedSpMV:
             return e.spmv_transpose(x[s.row_lo:s.row_hi])
         return getattr(e, op)(self._x_block(s, x))
 
-    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
-        """One :meth:`_shard_product` per shard, concurrently when safe.
-
-        Results come back in shard order regardless of completion order,
-        so every combine downstream sees a schedule-independent input.
-        Every task routes through :meth:`shard_call`, so the shard-level
-        fault hooks apply on both the sequential and concurrent paths.
-        This is the one per-shard execution point a backend overrides.
-        """
-        pairs = list(zip(self.partition.shards, self.engines))
-
-        def fn(s, e):
-            return self._shard_product(op, s, e, x)
-
-        if self._sequential():
-            parts = []
-            for s, engine in pairs:
-                with tele.span("shard_execute", cat="kernel", op=op,
-                               shard=s.index, rows=s.rows, nnz=s.nnz):
-                    parts.append(self.shard_call(op, s, engine, fn))
-            return parts
-        return list(
-            self._pool().map(lambda pair: self.shard_call(op, *pair, fn), pairs)
+    def _shard_block(self, op: str, i: int, x: np.ndarray) -> np.ndarray:
+        """Shard ``i``'s :meth:`_shard_product`, through :meth:`shard_call`."""
+        return self.shard_call(
+            op, self.partition.shards[i], self.engines[i],
+            lambda s, e: self._shard_product(op, s, e, x),
         )
+
+    def _run_shards(self, op: str, x: np.ndarray) -> list[np.ndarray]:
+        """Every shard's block of ``op``, in shard order (:meth:`_map_shards`).
+
+        This is the one per-shard execution point a subclass overrides:
+        the process backend sends the blocks to its workers, the
+        recovery engine verifies each one and walks its ladder.
+        """
+        return self._map_shards(op, lambda i: self._shard_block(op, i, x))
 
     def _col_offset(self, s) -> int:
         """Global column of the shard block's first column (0 for 1D)."""
@@ -549,21 +580,28 @@ class ShardedSpMV:
             out.append((idx, xg, vals))
         return tuple(out)
 
-    def _collect_streams(self, transpose: bool, x: np.ndarray):
-        """Per-shard replay contributions, in grid order.
+    def _shard_streams(self, i: int, x: np.ndarray, transpose: bool = False):
+        """Shard ``i``'s replay input, through :meth:`shard_call`.
 
-        One :meth:`shard_call`-guarded :meth:`_stream_contrib` per
-        shard.  Streams are read live from the engines at call time — a
+        For a vector, its gathered contributions (:meth:`_stream_contrib`,
+        for :meth:`replay_contribs`); for a batch, its raw local streams
+        (:meth:`_shard_raw_streams`, for :meth:`replay_spmm_streams`).
+        Streams are read live from the engines at call time — a
         preceding :meth:`update_values` swapped the value arrays, not
         the structure.
         """
-        return [
-            self.shard_call(
-                "stream_collect", s, e,
-                lambda s_, e_: self._stream_contrib(s_, e_, x, transpose),
-            )
-            for s, e in zip(self.partition.shards, self.engines)
-        ]
+        if x.ndim == 2:
+            fn = self._shard_raw_streams
+        else:
+            def fn(s, e):
+                return self._stream_contrib(s, e, x, transpose)
+        return self.shard_call(
+            "stream_collect", self.partition.shards[i], self.engines[i], fn
+        )
+
+    def _collect_streams(self, transpose: bool, x: np.ndarray) -> list:
+        """Every shard's :meth:`_shard_streams`, in grid order."""
+        return [self._shard_streams(i, x, transpose) for i in range(len(self.engines))]
 
     def replay_contribs(self, contribs, length: int, transpose: bool) -> np.ndarray:
         """Combine per-shard contributions by ordered replay (bit-for-bit).
@@ -576,9 +614,11 @@ class ShardedSpMV:
         replays the same left-to-right summation, and the halves combine
         by the same branch the single engine uses.  A GPU-substrate fault
         campaign corrupts the concatenated value stream exactly once per
-        half, mirroring the unsharded kernels.  The recovery ladder calls
-        this with its *verified* contribution list, so a recovered
-        product replays the same clean streams.
+        half, mirroring the unsharded kernels.  The recovery engine's
+        :meth:`_replay` override
+        (:class:`~repro.dist.recovery.RecoverableShardedSpMV`) feeds this
+        its *verified* contribution list, so a recovered product replays
+        the same clean streams.
         """
         inj = faults.active_injector()
         ys = []
@@ -612,14 +652,10 @@ class ShardedSpMV:
             shard_faults.active_injector() is not None
             or faults.active_injector() is not None
         ):
+            streams = self._collect_streams(transpose, x)
             if x.ndim == 2:
-                streams = [
-                    self.shard_call("stream_collect", s, e, self._shard_raw_streams)
-                    for s, e in zip(self.partition.shards, self.engines)
-                ]
                 return self.replay_spmm_streams(streams, x)
-            return self.replay_contribs(self._collect_streams(transpose, x),
-                                        length, transpose)
+            return self.replay_contribs(streams, length, transpose)
         for i in range(len(self.engines)):
             self.shard_exec_counts[i] += 1
         ys = [
@@ -722,8 +758,8 @@ class ShardedSpMV:
         block gets a zero operand that still joins the final add,
         preserving the reference's bit pattern.  An armed GPU-substrate
         campaign corrupts each operand's concatenated values.  Like
-        :meth:`replay_contribs`, the recovery ladder feeds this its
-        verified stream list.
+        :meth:`replay_contribs`, the recovery engine's :meth:`_replay`
+        override feeds this its verified stream list.
         """
         inj = faults.active_injector()
         part: GridPartition = self.partition
@@ -901,12 +937,18 @@ class ShardedSpMV:
             data = np.asarray(values, dtype=np.float64)
             if data.shape != (self._nnz,):
                 raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        if self._nnz_idx is not None:
-            slices = [data[sel] for sel in self._nnz_idx]
-        else:
-            slices = [data[s.nnz_lo:s.nnz_hi] for s in self.partition.shards]
-        self._apply_values(slices)
+        self._apply_values([data[sel] for sel in self._value_selectors()])
         return self
+
+    def _value_selectors(self) -> list:
+        """Per shard, where its entries sit in the canonical CSR value array.
+
+        A contiguous slice for 1D shards, the index map built at
+        partition time for grid cells.
+        """
+        if self._nnz_idx is not None:
+            return self._nnz_idx
+        return [slice(s.nnz_lo, s.nnz_hi) for s in self.partition.shards]
 
     def _apply_values(self, slices: list[np.ndarray]) -> None:
         """Hand each shard its value slice, checked by :meth:`update_values`."""

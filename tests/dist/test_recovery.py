@@ -10,6 +10,7 @@ quarantine + repartition rung.  Campaigns run under three seeds via the
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -41,12 +42,16 @@ def reference(matrix):
     return TileSpMV(matrix, method="adpt")
 
 
+def _shard_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("shard")}
+
+
 class TestShardChecks:
     def test_clean_shards_verify(self, matrix, rng):
         eng = RecoverableShardedSpMV(matrix, shards=4)
         x = rng.standard_normal(320)
         for i, (s, e) in enumerate(
-            zip(eng.inner.partition.shards, eng.inner.engines)
+            zip(eng.partition.shards, eng.engines)
         ):
             y_blk = e.spmv(x)
             assert eng._checks[i].verify_sum(x, np.sum(y_blk))
@@ -55,7 +60,7 @@ class TestShardChecks:
     def test_corrupted_block_detected(self, matrix, rng):
         eng = RecoverableShardedSpMV(matrix, shards=4)
         x = rng.standard_normal(320)
-        y_blk = eng.inner.engines[1].spmv(x)
+        y_blk = eng.engines[1].spmv(x)
         y_blk[3] += 1e4
         assert not eng._checks[1].verify_sum(x, np.sum(y_blk))
         eng.close()
@@ -69,8 +74,8 @@ class TestShardChecks:
         a = random_uniform(256, 256, nnz_per_row=6, seed=81)
         eng = RecoverableShardedSpMV(a, grid=(2, 2))
         x = rng.standard_normal(256)
-        for i, s in enumerate(eng.inner.partition.shards):
-            y_blk = eng.inner.engines[i].spmv(x[s.col_lo:s.col_hi])
+        for i, s in enumerate(eng.partition.shards):
+            y_blk = eng.engines[i].spmv(x[s.col_lo:s.col_hi])
             assert eng._checks[i].verify_sum(x[s.col_lo:s.col_hi], np.sum(y_blk))
         eng.close()
 
@@ -103,12 +108,24 @@ class TestFaultFree:
         with RecoverableShardedSpMV(a, grid=(2, 2), method="auto") as eng:
             assert np.array_equal(eng.spmv(x), ref)
 
-    def test_transpose_delegates(self, matrix, reference, rng):
+    @pytest.mark.parametrize("method", ["adpt", "auto"])
+    @pytest.mark.parametrize("part", [{"shards": 4}, {"grid": (2, 2)}],
+                             ids=["1d-p4", "grid-2x2"])
+    def test_transpose_delegates(self, matrix, reference, rng, method, part):
+        # Unprotected pass-through: the bare engine's bytes, one
+        # execution per shard, and no ladder activity.
         x = rng.standard_normal(320)
-        with RecoverableShardedSpMV(matrix, shards=4) as eng:
-            assert np.array_equal(
-                eng.spmv_transpose(x), reference.spmv_transpose(x)
-            )
+        with ShardedSpMV(matrix, method=method, **part) as plain:
+            want = plain.spmv_transpose(x)
+        with RecoverableShardedSpMV(matrix, method=method, **part) as eng:
+            counters = dict(eng.counters)
+            before = list(eng.shard_exec_counts)
+            y = eng.spmv_transpose(x)
+            assert y.tobytes() == want.tobytes()
+            assert eng.shard_exec_counts == [c + 1 for c in before]
+            assert eng.counters == counters
+        if method == "adpt":
+            assert np.array_equal(y, reference.spmv_transpose(x))
 
 
 @pytest.mark.faults
@@ -129,6 +146,15 @@ class TestLocalizedRecovery:
                 assert eng.counters["shard_retry"] == 1
                 assert eng.counters["repartitions"] == 0
                 assert eng.last_exact
+
+    def test_matmul_runs_the_ladder(self, matrix, reference, rng):
+        x = rng.standard_normal(320)
+        with shard_fault_injection(
+            ShardFaultPlan(seed=FAULT_SEED, corrupt_devices=(1,))
+        ):
+            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+                assert (eng @ x).tobytes() == reference.spmv(x).tobytes()
+                assert eng.counters["shard_retry"] == 1
 
     def test_device_loss_retries_only_lost_shard(self, matrix, reference, rng):
         x = rng.standard_normal(320)
@@ -238,6 +264,28 @@ class TestParityReconstruction:
                     y, reference.spmm(xm), rtol=1e-9, atol=1e-9
                 )
 
+    def test_reconstruct_after_update(self, matrix, rng):
+        """Parity is rebuilt from the refreshed values, not the old ones."""
+        x = rng.standard_normal(320)
+        cfg = RecoveryConfig(
+            parity=True, max_shard_retries=0,
+            breaker=BreakerConfig(
+                failure_threshold=10, cooldown_seconds=float("inf"),
+                probe_successes=1,
+            ),
+        )
+        new = matrix.copy()
+        new.data = new.data * rng.uniform(0.5, 2.0, matrix.nnz)
+        ref = TileSpMV(new, method="adpt").spmv(x)
+        with RecoverableShardedSpMV(matrix, shards=4, config=cfg) as eng:
+            eng.update_values(new)
+            with shard_fault_injection(
+                ShardFaultPlan(seed=FAULT_SEED, lose_devices=(2,), fault_attempts=None)
+            ):
+                y = eng.spmv(x)
+            assert eng.counters["shard_reconstruct"] == 1
+            np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
+
     def test_parity_skipped_for_column_cut_grids(self):
         a = random_uniform(256, 256, nnz_per_row=5, seed=85)
         with RecoverableShardedSpMV(
@@ -273,8 +321,8 @@ class TestQuarantine:
                 assert eng.counters["device_quarantine"] == 1
                 assert eng.counters["repartitions"] == 1
                 assert eng.quarantined == [1]
-                assert eng.inner.device_ranks == [0, 2, 3]
-                assert eng.inner.shards == 3
+                assert eng.device_ranks == [0, 2, 3]
+                assert eng.shards == 3
                 assert eng.last_exact  # survivors recompute bit-for-bit
 
     def test_quarantined_device_stays_out(self, matrix, reference, rng):
@@ -299,8 +347,45 @@ class TestQuarantine:
                 y = eng.spmv(x)
                 assert np.array_equal(y, y_ref)
                 assert eng.counters["repartitions"] == 1
-                assert eng.inner.grid is None  # canonical 1D fallback
-                assert eng.inner.shards == 3
+                assert eng.grid is None  # canonical 1D fallback
+                assert eng.shards == 3
+
+    def test_matmul_restarts_after_quarantine(self, matrix, reference, rng):
+        x = rng.standard_normal(320)
+        with shard_fault_injection(
+            ShardFaultPlan(seed=FAULT_SEED, lose_devices=(1,), fault_attempts=None)
+        ):
+            with RecoverableShardedSpMV(matrix, shards=4) as eng:
+                assert (eng @ x).tobytes() == reference.spmv(x).tobytes()
+                assert eng.counters["repartitions"] == 1
+
+    @pytest.mark.parametrize("grid", [None, (2, 2)], ids=["1d", "grid"])
+    def test_repartition_is_in_place(self, grid, rng):
+        a = random_uniform(256, 256, nnz_per_row=6, seed=86)
+        x = rng.standard_normal(256)
+        y_ref = TileSpMV(a, method="adpt").spmv(x)
+        before = _shard_threads()
+        eng = RecoverableShardedSpMV(a, shards=4, grid=grid)
+        eng.spmv(x)  # fault-free: starts the thread pool
+        old_pool = eng._executor
+        assert old_pool is not None
+        with shard_fault_injection(
+            ShardFaultPlan(seed=FAULT_SEED, lose_devices=(1,), fault_attempts=None)
+        ):
+            y = eng.spmv(x)
+        assert np.array_equal(y, y_ref)
+        # The engine itself now spans the survivors.
+        assert eng.quarantined == [1]
+        assert eng.device_ranks == [0, 2, 3]
+        assert eng.shards == 3 and len(eng.engines) == 3
+        assert eng.grid is None
+        # The old pool was shut down, not leaked behind the new one.
+        assert eng._executor is not old_pool
+        assert not any(t.is_alive() for t in old_pool._threads)
+        eng.close()
+        eng.close()  # idempotent
+        assert eng._executor is None
+        assert _shard_threads() <= before
 
     def test_all_devices_lost_raises(self, matrix):
         with shard_fault_injection(
@@ -491,15 +576,33 @@ class TestTelemetryAndCosts:
 
 
 class TestLifecycleAndUpdate:
-    def test_update_values_rearms_checks(self, matrix, rng):
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"shards": 4},
+            {"grid": (2, 2)},
+            {"grid": (4, 1)},
+            {"shards": 4, "config": RecoveryConfig(parity=True)},
+        ],
+        ids=["1d", "grid2x2", "grid4x1", "1d_parity"],
+    )
+    def test_update_values_rearms_checks(self, matrix, rng, part):
         x = rng.standard_normal(320)
-        with RecoverableShardedSpMV(matrix, shards=4) as eng:
-            scaled = matrix.copy()
-            scaled.data = scaled.data * 2.0
-            eng.update_values(scaled)
-            ref = TileSpMV(scaled, method="adpt").spmv(x)
-            assert np.array_equal(eng.spmv(x), ref)
-            assert eng.counters["shard_detected"] == 0  # checks follow values
+        xm = rng.standard_normal((320, 3))
+        uniform = matrix.copy()
+        uniform.data = uniform.data * 2.0
+        # Per-entry factors: a value landing in the wrong place of the
+        # rebuilt CSR (e.g. a grid's scattered selectors) shows here.
+        scattered = matrix.copy()
+        scattered.data = scattered.data * rng.uniform(0.5, 2.0, matrix.nnz)
+        with RecoverableShardedSpMV(matrix, **part) as eng:
+            for new in (uniform, scattered):
+                eng.update_values(new)
+                ref = TileSpMV(new, method="adpt")
+                assert eng.spmv(x).tobytes() == ref.spmv(x).tobytes()
+                assert eng.spmm(xm).tobytes() == ref.spmm(xm).tobytes()
+                # Checks follow the values.
+                assert eng.counters["shard_detected"] == 0
 
     def test_describe_and_plan_keys(self, matrix):
         from repro.core.plancache import PlanCache
@@ -517,7 +620,7 @@ class TestLifecycleAndUpdate:
         eng = RecoverableShardedSpMV(matrix, shards=2)
         with eng:
             pass
-        assert eng.inner._executor is None
+        assert eng._executor is None
 
 
 @pytest.mark.faults

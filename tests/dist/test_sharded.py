@@ -7,13 +7,9 @@ import scipy.sparse as sp
 from repro import telemetry as tele
 from repro.core.plancache import PlanCache
 from repro.core.tilespmv import TileSpMV
-from repro.dist import (
-    ShardedSpMV,
-    best_shard_count,
-    modelled_shard_sweep,
-    sharded_conjugate_gradient,
-    sharded_pagerank,
-)
+from repro.apps.graph import make_transition, pagerank
+from repro.apps.solvers import conjugate_gradient
+from repro.dist import ShardedSpMV, best_shard_count, modelled_shard_sweep
 from repro.gpu.device import A100
 from repro.matrices import fem_blocks, power_law, random_uniform, stencil_2d
 
@@ -424,30 +420,35 @@ class TestTelemetry:
 
 
 class TestSolvers:
-    def test_cg_iterates_identically(self):
+    """The generic solvers take a sharded operator unchanged: bit-for-bit
+    products give the unsharded solve's iterates, on 1D and on a grid."""
+
+    @pytest.mark.parametrize("part", [{"shards": 4}, {"grid": (2, 2)}],
+                             ids=["1d", "grid"])
+    def test_cg_iterates_identically(self, part):
         # Diagonally-dominant SPD operator from a 2D stencil.
         a = stencil_2d(18, points=5, seed=70)
         a = a + a.T
         diag = np.asarray(np.abs(a).sum(axis=1)).ravel() + 1.0
         a = (sp.diags(diag) - 0.5 * a).tocsr()
         b = np.ones(a.shape[0])
-        from repro.apps.solvers import conjugate_gradient
-
         base = conjugate_gradient(TileSpMV(a, method="adpt"), b)
-        shard = sharded_conjugate_gradient(a, b, shards=4)
+        with ShardedSpMV(a, **part) as eng:
+            shard = conjugate_gradient(eng, b)
         assert shard.converged
         assert shard.iterations == base.iterations
         np.testing.assert_array_equal(shard.x, base.x)
 
-    def test_pagerank_matches(self):
+    @pytest.mark.parametrize("part", [{"shards": 4}, {"grid": (2, 2)}],
+                             ids=["1d", "grid"])
+    def test_pagerank_matches(self, part):
         a = power_law(400, avg_degree=5, seed=71)
-        from repro.apps.graph import make_transition, pagerank
-
         transition, dangling = make_transition(a)
         base_rank, base_iters = pagerank(
             TileSpMV(transition, method="adpt"), dangling
         )
-        rank, iters = sharded_pagerank(a, shards=4)
+        with ShardedSpMV(transition, **part) as eng:
+            rank, iters = pagerank(eng, dangling)
         assert iters == base_iters
         np.testing.assert_array_equal(rank, base_rank)
 
