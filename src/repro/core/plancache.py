@@ -17,8 +17,10 @@ everything that depends on structure only:
 
 A second ``TileSpMV`` construction with the same pattern is a cache hit
 and skips re-tiling entirely; if the *values* changed, the cached plan
-is refreshed through the ``with_values`` fast path (payload re-encode
-only — no sort, no selection, no extraction).  Hit/miss/eviction
+is refreshed through the same value routes as ``update_values``
+(:meth:`MethodPlan.value_routes`: one gather per half into the
+executor operand — no sort, no selection, no extraction, no payload
+re-encode until a consumer reads the payloads).  Hit/miss/eviction
 counters are exposed via :meth:`PlanCache.stats` / :meth:`describe` and
 surfaced by the CLI and ``TileSpMV.describe``.
 """
@@ -44,7 +46,9 @@ __all__ = [
     "CachedPlan",
     "MethodPlan",
     "canonical_csr",
+    "compose_route",
     "structural_fingerprint",
+    "take_route",
     "value_digest",
 ]
 
@@ -97,6 +101,26 @@ def value_digest(data: np.ndarray) -> str:
     ).hexdigest()
 
 
+def compose_route(n: int, *steps: np.ndarray | None) -> np.ndarray | None:
+    """Fold a chain of gathers into one: ``data[s0][s1]... == data[route]``.
+
+    ``n`` is the length of ``data``; ``None`` steps are skipped.  Returns
+    ``None`` when the composed gather is the identity on ``n`` entries.
+    """
+    route = None
+    for step in steps:
+        if step is not None:
+            route = step if route is None else route[step]
+    if route is None or (route.size == n and np.array_equal(route, np.arange(n))):
+        return None
+    return route
+
+
+def take_route(data: np.ndarray, route: np.ndarray | None) -> np.ndarray:
+    """``data[route]`` in a new array (a copy for the identity route)."""
+    return data.copy() if route is None else np.take(data, route)
+
+
 @dataclass
 class MethodPlan:
     """Built artifacts for one resolved strategy of a plan.
@@ -113,24 +137,41 @@ class MethodPlan:
     deferred_src: np.ndarray | None = None
     tiled_src: np.ndarray | None = None
     build_seconds: float = 0.0
+    _routes: tuple | None = field(default=None, repr=False)
 
-    def with_values(self, new_view_val: np.ndarray) -> "MethodPlan":
-        """Same structure, new values (full-tileset view order)."""
-        if self.deferred_src is not None or self.tiled_src is not None:
-            tiled = (
-                self.tiled.with_values(new_view_val[self.tiled_src])
-                if self.tiled is not None
-                else None
+    def value_routes(self, entry_perm: np.ndarray) -> tuple:
+        """Per half (tiled, deferred), canonical CSR position -> executor order.
+
+        The tileset's ``entry_perm``, the DeferredCOO source map and the
+        tiled half's :meth:`TileMatrix.value_route
+        <repro.core.storage.TileMatrix.value_route>` composed into one
+        gather (:func:`compose_route`): ``csr.data[route]`` is the half's
+        operand data (the tiled operand's, or the deferred CSR's).
+        ``None`` for the identity or an absent half.  Structural: built
+        on first use and carried into every :meth:`with_values` clone.
+        """
+        if self._routes is None:
+            n = entry_perm.size
+            self._routes = (
+                None if self.tiled is None else compose_route(
+                    n, entry_perm, self.tiled_src, self.tiled.value_route()
+                ),
+                None if self.deferred is None else compose_route(
+                    n, entry_perm, self.deferred_src
+                ),
             )
-            deferred = (
-                self.deferred.with_values(new_view_val[self.deferred_src])
-                if self.deferred is not None
-                else None
-            )
-        else:
-            tiled = self.tiled.with_values(new_view_val) if self.tiled is not None else None
-            deferred = self.deferred
-        return replace(self, tiled=tiled, deferred=deferred)
+        return self._routes
+
+    def with_values(self, csr_data: np.ndarray, entry_perm: np.ndarray) -> "MethodPlan":
+        """Same structure, new values (canonical CSR order), one gather per half."""
+        tiled_route, deferred_route = self.value_routes(entry_perm)
+        return replace(
+            self,
+            tiled=None if self.tiled is None
+            else self.tiled.with_values(take_route(csr_data, tiled_route)),
+            deferred=None if self.deferred is None
+            else self.deferred.with_values(take_route(csr_data, deferred_route)),
+        )
 
 
 @dataclass
@@ -151,12 +192,14 @@ class CachedPlan:
         Existing method artifacts are *replaced*, never mutated —
         engines holding the previous generation keep working on it.
         """
-        if self.tileset.entry_perm is None:
+        entry_perm = self.tileset.entry_perm
+        if entry_perm is None:
             raise ValueError("plan tileset lacks entry_perm; cannot refresh values")
-        new_view_val = np.asarray(csr_data, dtype=np.float64)[self.tileset.entry_perm]
-        self.tileset = self.tileset.with_values(new_view_val)
+        data = np.asarray(csr_data, dtype=np.float64)
+        # The tileset's values seed any strategy built from it later.
+        self.tileset = self.tileset.with_values(data[entry_perm])
         for name, mp in list(self.methods.items()):
-            self.methods[name] = mp.with_values(new_view_val)
+            self.methods[name] = mp.with_values(data, entry_perm)
         self.values_digest = digest
 
 

@@ -3,10 +3,9 @@
 A :class:`TileMatrix` owns the level-1 tile structure (from
 :mod:`repro.core.tiling`), the per-tile format assignment (from
 :mod:`repro.core.selection`) and the seven format payloads (from
-:mod:`repro.formats`).  At build time it decodes the payloads into
-gather streams and compiles them into one CSR operand that executes
-every product — the inspector-executor split: payloads are the stored
-truth, the operand is the compiled kernel.
+:mod:`repro.formats`).  It is built from payloads: at build time it
+decodes them into gather streams and compiles those into one CSR
+operand that executes every product — the inspector-executor split.
 
 The operand keeps, within each row, the canonical tile-major order of
 the decode streams, so ``op @ x`` sums each output row in exactly that
@@ -15,11 +14,18 @@ output column in ascending row order, the canonical (col, row)
 transpose order.  Its ``indptr``/``indices`` and the permutation
 from stream to operand order are structural, built once per structure
 and shared by every :meth:`TileMatrix.with_values` clone.
+
+After a value update the operand holds the values: a
+:meth:`TileMatrix.with_values` clone takes new operand data and
+nothing else, and its payloads, view values and decode-order values
+are re-encoded from the operand on first read.  Products read only
+the operand, so a value refresh costs one gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,26 +103,44 @@ def stream_operand(structure: sp.csr_matrix, vals: np.ndarray) -> sp.csr_matrix:
     )
 
 
-@dataclass
 class TileMatrix:
-    """A sparse matrix in the two-level TileSpMV representation."""
+    """A sparse matrix in the two-level TileSpMV representation.
 
-    tileset: TileSet
-    formats: np.ndarray  # uint8 FormatID per tile
-    payloads: dict = field(default_factory=dict)  # FormatID -> payload
-    tile_ids: dict = field(default_factory=dict)  # FormatID -> global tile idx
-    # Precomputed gathers (set by _build_gathers).
-    _y_idx: np.ndarray | None = field(default=None, repr=False)
-    _x_idx: np.ndarray | None = field(default=None, repr=False)
-    _vals: np.ndarray | None = field(default=None, repr=False)
-    # The executor: stream_structure of the gathers (structural, shared
-    # by value clones) and the operand filled from _vals.
-    _structure: sp.csr_matrix | None = field(default=None, repr=False)
-    _op: sp.csr_matrix | None = field(default=None, repr=False)
-    # Structural maps driving the with_values fast path, built lazily on
-    # the first call and shared by every value-only clone.
-    _value_maps: dict | None = field(default=None, repr=False)
-    _decode_perm: np.ndarray | None = field(default=None, repr=False)
+    Built from payloads, the operand is compiled from them.  After
+    :meth:`with_values` it is the other way round: the operand holds the
+    values, and the decode-order values, the tileset's view values and
+    the payload value slots are derived from it on first read
+    (:meth:`_reencode`) and cached.  Products never read them.
+    """
+
+    def __init__(
+        self,
+        tileset: TileSet,
+        formats: np.ndarray,
+        payloads: dict | None = None,  # FormatID -> payload
+        tile_ids: dict | None = None,  # FormatID -> global tile idx
+    ) -> None:
+        # Structure is always current; the view values and payload value
+        # slots are current only while _encoded (read them through the
+        # tileset/payloads properties).
+        self._tileset = tileset
+        self.formats = formats
+        self._payloads = {} if payloads is None else payloads
+        self.tile_ids = {} if tile_ids is None else tile_ids
+        self._encoded = True
+        # Precomputed gathers (set by _build_gathers); decode-order values
+        # are derived from the operand when None.
+        self._y_idx: np.ndarray | None = None
+        self._x_idx: np.ndarray | None = None
+        self._decode_vals: np.ndarray | None = None
+        # The executor: stream_structure of the gathers (structural, shared
+        # by value clones) and the operand holding the values.
+        self._structure: sp.csr_matrix | None = None
+        self._op: sp.csr_matrix | None = None
+        # Structural maps from view entries to payload value slots, built
+        # lazily and shared by every value clone.
+        self._value_maps: dict | None = None
+        self._decode_perm: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -152,6 +176,29 @@ class TileMatrix:
         self._build_gathers()
         return self
 
+    @property
+    def tileset(self) -> TileSet:
+        """The level-1 structure with current view values."""
+        if not self._encoded:
+            self._reencode()
+        return self._tileset
+
+    @property
+    def payloads(self) -> dict:
+        """FormatID -> payload, value slots current."""
+        if not self._encoded:
+            self._reencode()
+        return self._payloads
+
+    @property
+    def _vals(self) -> np.ndarray:
+        """The operand's values in decode-stream order."""
+        if self._decode_vals is None:
+            vals = np.empty_like(self._op.data)
+            vals[self._structure.data] = self._op.data
+            self._decode_vals = vals
+        return self._decode_vals
+
     def _value_slot_maps(self) -> tuple[dict, np.ndarray]:
         """Structural maps from view entries to payload value slots.
 
@@ -160,15 +207,14 @@ class TileMatrix:
         is a pure permutation of the view entries.  Decoding each
         payload's *index* arrays once recovers, per format, which stored
         value slot holds which view entry; concatenated across payloads
-        the same map is the permutation that refills ``_vals`` straight
-        from a view-ordered value array.  Built lazily, carried into
-        every :meth:`with_values` clone, never rebuilt for a fixed
-        structure.
+        the same map is the permutation from view order to decode
+        order.  Built lazily, carried into every :meth:`with_values`
+        clone, never rebuilt for a fixed structure.
         """
         if self._value_maps is not None:
             return self._value_maps, self._decode_perm
-        tile = self.tileset.tile
-        view = self.tileset.view
+        tile = self._tileset.tile
+        view = self._tileset.view
         # View entries are sorted by (tile, lrow, lcol), so this key is
         # strictly increasing over the view — searchsorted inverts it.
         view_keys = (
@@ -178,7 +224,7 @@ class TileMatrix:
         )
         maps: dict = {}
         perm_parts, gid_parts = [], []
-        for fmt, payload in self.payloads.items():
+        for fmt, payload in self._payloads.items():
             t_local, lrow, lcol, _ = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
             keys = gid * (tile * tile) + lrow.astype(np.int64) * tile + lcol.astype(np.int64)
@@ -204,55 +250,71 @@ class TileMatrix:
         self._value_maps, self._decode_perm = maps, perm
         return maps, perm
 
-    def with_values(self, new_view_val: np.ndarray) -> "TileMatrix":
-        """Same structure with new entry values — no re-encode.
+    def value_route(self) -> np.ndarray:
+        """View position of every operand entry: ``op.data == view.val[route]``.
 
-        ``new_view_val`` is in the tile-sorted (tileset view) order.
-        The tile decomposition, format assignment and every index array
-        are shared by reference; only the payload value slots, the
-        ``_vals`` gather and the operand's ``data`` are refilled, through
-        the maps from :meth:`_value_slot_maps` — the ``update_values``
-        fast path for iterative workloads where the sparsity pattern is
-        fixed but the numbers change.  The clone shares the operand's
-        structure with this matrix.  Returns a new object (cached plans
-        may share the old payloads and operand).
+        Structural; :meth:`MethodPlan.value_routes
+        <repro.core.plancache.MethodPlan.value_routes>` composes it into
+        the one gather that refills the operand.
         """
-        tileset = self.tileset.with_values(new_view_val)
-        new_view_val = tileset.view.val  # canonical float64, size-checked
+        return self._value_slot_maps()[1][self._structure.data]
+
+    def with_values(self, op_vals: np.ndarray) -> "TileMatrix":
+        """Same structure with new values in operand order — no re-encode.
+
+        ``op_vals`` becomes the clone's operand ``data`` (the caller
+        hands over a fresh array).  The tile decomposition, format
+        assignment, gathers and operand structure are shared by
+        reference; the payloads and view values are re-encoded from the
+        operand only when read (:meth:`_reencode`).  Returns a new
+        object, so cached plans and earlier clones keep their values.
+        """
+        op_vals = np.asarray(op_vals, dtype=np.float64)
+        if op_vals.shape != self._op.data.shape:
+            raise ValueError(f"expected {self._op.data.size} values, got {op_vals.size}")
+        self._value_slot_maps()  # built once here, carried into the clone
+        clone = TileMatrix(self._tileset, self.formats, self._payloads, self.tile_ids)
+        clone._encoded = False
+        clone._y_idx, clone._x_idx = self._y_idx, self._x_idx
+        clone._structure = self._structure
+        clone._value_maps, clone._decode_perm = self._value_maps, self._decode_perm
+        # A shallow copy shares indptr/indices without re-validating them.
+        clone._op = copy.copy(self._op)
+        clone._op.data = op_vals
+        return clone
+
+    def _reencode(self) -> None:
+        """Refill the view values and payload value slots from the operand.
+
+        Pure copies through the structural maps of
+        :meth:`_value_slot_maps`, so the payloads hold bit for bit what a
+        fresh encode of the same values would.
+        """
         maps, perm = self._value_slot_maps()
+        view_val = np.empty_like(self._op.data)
+        view_val[perm] = self._vals
         payloads: dict = {}
-        for fmt, payload in self.payloads.items():
+        for fmt, payload in self._payloads.items():
             entry = maps[fmt]
             if entry[0] == "hyb":
                 _, ell_slots, ell_vidx, coo_vidx = entry
                 ell_val = np.zeros_like(payload.ell.val)
-                ell_val[ell_slots] = new_view_val[ell_vidx]
+                ell_val[ell_slots] = view_val[ell_vidx]
                 payloads[fmt] = replace(
                     payload,
                     ell=replace(payload.ell, val=ell_val),
-                    coo=replace(payload.coo, val=new_view_val[coo_vidx]),
+                    coo=replace(payload.coo, val=view_val[coo_vidx]),
                 )
             elif entry[0] == "masked":
                 _, slots, vidx = entry
                 val = np.zeros_like(payload.val)
-                val[slots] = new_view_val[vidx]
+                val[slots] = view_val[vidx]
                 payloads[fmt] = replace(payload, val=val)
             else:
-                payloads[fmt] = replace(payload, val=new_view_val[entry[1]])
-        clone = TileMatrix(
-            tileset=tileset,
-            formats=self.formats,
-            payloads=payloads,
-            tile_ids=self.tile_ids,
-        )
-        clone._y_idx = self._y_idx
-        clone._x_idx = self._x_idx
-        clone._vals = new_view_val[perm]
-        clone._value_maps = maps
-        clone._decode_perm = perm
-        clone._structure = self._structure
-        clone._op = stream_operand(self._structure, clone._vals)
-        return clone
+                payloads[fmt] = replace(payload, val=view_val[entry[1]])
+        self._tileset = self._tileset.with_values(view_val)
+        self._payloads = payloads
+        self._encoded = True
 
     def _build_gathers(self) -> None:
         """Precompute global (row, col, val) gathers from the payloads.
@@ -276,12 +338,12 @@ class TileMatrix:
         halving their footprint.
         """
         ys, xs, vs, gs = [], [], [], []
-        tile = self.tileset.tile
-        for fmt, payload in self.payloads.items():
+        tile = self._tileset.tile
+        for fmt, payload in self._payloads.items():
             t_local, lrow, lcol, val = _decode_with_tiles(fmt, payload)
             gid = self.tile_ids[fmt][t_local]
-            ys.append(self.tileset.tile_rowidx[gid] * tile + lrow.astype(np.int64))
-            xs.append(self.tileset.tile_colidx[gid] * tile + lcol.astype(np.int64))
+            ys.append(self._tileset.tile_rowidx[gid] * tile + lrow.astype(np.int64))
+            xs.append(self._tileset.tile_colidx[gid] * tile + lcol.astype(np.int64))
             vs.append(val)
             gs.append(gid)
         idx_dtype = np.int32 if max(self.shape) < 2**31 else np.int64
@@ -289,27 +351,30 @@ class TileMatrix:
             order = _tile_major_order(gs)
             self._y_idx = np.concatenate(ys)[order].astype(idx_dtype)
             self._x_idx = np.concatenate(xs)[order].astype(idx_dtype)
-            self._vals = np.concatenate(vs)[order]
+            self._decode_vals = np.concatenate(vs)[order]
         else:
             self._y_idx = np.zeros(0, dtype=idx_dtype)
             self._x_idx = np.zeros(0, dtype=idx_dtype)
-            self._vals = np.zeros(0)
+            self._decode_vals = np.zeros(0)
         self._structure = stream_structure(self._y_idx, self._x_idx, self.shape)
         self._op = stream_operand(self._structure, self._vals)
 
+
     # -- basic properties ----------------------------------------------------
+
+    # Structural only: none of these (nor the products below) re-encode.
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.tileset.m, self.tileset.n)
+        return (self._tileset.m, self._tileset.n)
 
     @property
     def nnz(self) -> int:
-        return self.tileset.nnz
+        return self._tileset.nnz
 
     @property
     def n_tiles(self) -> int:
-        return self.tileset.n_tiles
+        return self._tileset.n_tiles
 
     # -- numerics ------------------------------------------------------------
 
@@ -331,8 +396,8 @@ class TileMatrix:
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x through the tiled representation."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.tileset.n,):
-            raise ValueError(f"x must have shape ({self.tileset.n},)")
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"x must have shape ({self.shape[1]},)")
         return self._operand() @ x
 
     def spmv_transpose(self, x: np.ndarray) -> np.ndarray:
@@ -347,8 +412,8 @@ class TileMatrix:
         reordered and sharded plans can replay it bit-for-bit.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.tileset.m,):
-            raise ValueError(f"x must have shape ({self.tileset.m},)")
+        if x.shape != (self.shape[0],):
+            raise ValueError(f"x must have shape ({self.shape[0]},)")
         return self._op.T @ x
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
@@ -359,8 +424,8 @@ class TileMatrix:
         in the same order as a standalone :meth:`spmv`.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.tileset.n:
-            raise ValueError(f"X must have shape ({self.tileset.n}, k)")
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"X must have shape ({self.shape[1]}, k)")
         return np.asarray(self._operand() @ x)
 
     def to_csr(self) -> sp.csr_matrix:
@@ -378,14 +443,17 @@ class TileMatrix:
     # -- accounting ------------------------------------------------------------
 
     def nbytes_model(self) -> int:
-        """Modelled device footprint: level-1 arrays + all payloads."""
-        return self.tileset.level1_nbytes_model() + sum(
-            p.nbytes_model() for p in self.payloads.values()
+        """Modelled device footprint: level-1 arrays + all payloads.
+
+        Array sizes only, so the payloads are not re-encoded for it.
+        """
+        return self._tileset.level1_nbytes_model() + sum(
+            p.nbytes_model() for p in self._payloads.values()
         )
 
     def format_histogram(self) -> dict[FormatID, dict[str, int]]:
         """Per-format tile and nonzero counts (Fig 7's two ratios)."""
-        counts = self.tileset.view.counts()
+        counts = self._tileset.view.counts()
         out: dict[FormatID, dict[str, int]] = {}
         for fmt in FormatID:
             mask = self.formats == fmt

@@ -54,7 +54,9 @@ from repro.core.plancache import (
     MethodPlan,
     PlanCache,
     canonical_csr,
+    compose_route,
     structural_fingerprint,
+    take_route,
     value_digest,
 )
 from repro.matrices.reorder import ReorderPlan, build_reorder
@@ -96,7 +98,8 @@ class TileSpMV:
         Optional :class:`~repro.core.plancache.PlanCache`.  When given,
         construction looks the matrix's structural fingerprint up first:
         a hit reuses the cached tile set, format vector, payloads and
-        warp schedule (re-encoding values only if they changed), a miss
+        warp schedule (refilling the operands through the same value
+        routes as :meth:`update_values` if the values changed), a miss
         stores the freshly built plan for the next construction.
     validation:
         :class:`~repro.reliability.validation.ValidationPolicy` for the
@@ -152,8 +155,9 @@ class TileSpMV:
         self.deferred_engine: Csr5SpMV | None = None
         self._deferred_transpose: Csr5SpMV | None = None
         self._schedule = None
-        self._deferred_src: np.ndarray | None = None
-        self._tiled_src: np.ndarray | None = None
+        self._method_plan: MethodPlan | None = None
+        # Per half, caller CSR position -> executor order (value_routes).
+        self._routes: tuple | None = None
 
         with tele.span("canonicalize", cat="build", policy=str(validation)):
             csr, self.validation_report = canonicalize_csr(matrix, validation)
@@ -209,8 +213,8 @@ class TileSpMV:
                 if plan_cache is not None:
                     plan_cache.put(self.plan_key, plan)
             elif plan.values_digest != value_digest(csr.data):
-                # Same pattern, new numbers: refresh payload values in place
-                # of re-tiling/re-selecting (the update_values fast path).
+                # Same pattern, new numbers: refill the operands in place
+                # of re-tiling/re-selecting (the update_values routes).
                 t1 = time.perf_counter()
                 plan.refresh_values(csr.data, value_digest(csr.data))
                 build_seconds += time.perf_counter() - t1
@@ -361,8 +365,7 @@ class TileSpMV:
         self.tiled = mp.tiled
         self.deferred_engine = mp.deferred
         self._schedule = mp.schedule
-        self._deferred_src = mp.deferred_src
-        self._tiled_src = mp.tiled_src
+        self._method_plan = mp
 
     # -- numerics -----------------------------------------------------------
 
@@ -448,10 +451,10 @@ class TileSpMV:
     def _reordered_transpose(self, x: np.ndarray) -> np.ndarray:
         """Transpose through a reordered plan, replayed canonically.
 
-        The permuted plan's streams are mapped back to original indices
-        and run through the same executor, an operand in original index
-        space, whose CSC view sums each output column in (original col,
-        original row) order — exactly the canonical order
+        The permuted plan's operands (:meth:`operands`) are mapped back
+        to original indices and run through the same executor, an operand
+        in original index space, whose CSC view sums each output column
+        in (original col, original row) order — exactly the canonical order
         :meth:`TileMatrix.spmv_transpose
         <repro.core.storage.TileMatrix.spmv_transpose>` uses — so the
         summation sequence per output entry is a pure function of the
@@ -462,23 +465,24 @@ class TileSpMV:
         operand structure is cached across value updates.
         """
         rp = self.reorder
-        streams = self.decode_streams()
+        operands = self.operands()
         if self._orig_structures is None:
+            rows = np.arange(self._shape[0])
             self._orig_structures = [
-                None if st is None else stream_structure(
-                    rp.row_perm[st[0]],
-                    st[1] if rp.col_perm is None else rp.col_perm[st[1]],
+                None if op is None else stream_structure(
+                    rp.row_perm[np.repeat(rows, np.diff(op[0]))],
+                    op[1] if rp.col_perm is None else rp.col_perm[op[1]],
                     self._shape,
                 )
-                for st in streams
+                for op in operands
             ]
         with tele.span("kernel_execute", cat="kernel", method=self.method,
                        nnz=self._nnz, transpose=True, reorder=rp.tag):
             y: np.ndarray | None = None
-            for structure, stream in zip(self._orig_structures, streams):
-                if stream is None:
+            for structure, op in zip(self._orig_structures, operands):
+                if op is None:
                     continue
-                yh = stream_operand(structure, stream[2]).T @ x
+                yh = stream_operand(structure, op[2]).T @ x
                 y = yh if y is None else y + yh
             if y is None:
                 y = np.zeros(self._shape[1])
@@ -541,14 +545,29 @@ class TileSpMV:
         next :meth:`update_values`; do not mutate.
         """
         tiled = None
-        if self.tiled is not None and self.tiled._vals is not None \
-                and self.tiled._vals.size:
+        if self.tiled is not None and self.tiled.nnz:
             tiled = (self.tiled._y_idx, self.tiled._x_idx, self.tiled._vals)
         deferred = None
         d = self.deferred_engine
         if d is not None and d.nnz:
             deferred = (d.entry_rows, d.indices, d.data)
         return tiled, deferred
+
+    def operands(self):
+        """Per half (tiled, deferred), ``None`` or its executor's CSR arrays.
+
+        ``(indptr, indices, data)`` in the engine's (permuted) index
+        space: the tiled half's operand or the deferred engine's CSR.
+        Each row lists the :meth:`decode_streams` entries of that row in
+        the order the half's kernel sums them.  Reading them never
+        re-encodes payloads.
+        """
+        t, d = self.tiled, self.deferred_engine
+        return (
+            None if t is None or not t.nnz
+            else (t._op.indptr, t._op.indices, t._op.data),
+            None if d is None or not d.nnz else (d.indptr, d.indices, d.data),
+        )
 
     def transpose_orders(self):
         """Per :meth:`decode_streams` half, its canonical transpose order.
@@ -561,14 +580,37 @@ class TileSpMV:
         kept across :meth:`update_values` (the structure never changes).
         """
         if self._t_perms is None:
-            tiled, deferred = self.decode_streams()
+            tiled, deferred = self.operands()
+            d = self.deferred_engine
             self._t_perms = (
                 None if tiled is None else self.tiled._structure.tocsc().data,
                 None if deferred is None else stream_structure(
-                    deferred[0], deferred[1], self._shape
+                    d.entry_rows, d.indices, self._shape
                 ).tocsc().data,
             )
         return self._t_perms
+
+    def value_routes(self) -> tuple:
+        """Per half (tiled, deferred), where its executor values come from.
+
+        An index into the caller's canonical CSR value array, in the
+        order of the half's operand data (:meth:`operands`), or ``None``
+        for the identity (or an absent half).  It composes the reorder's
+        data permutation, the tileset's entry order, the DeferredCOO
+        source map and the tiled half's decode order
+        (:meth:`MethodPlan.value_routes
+        <repro.core.plancache.MethodPlan.value_routes>`).  Structural:
+        built on the first :meth:`update_values`, kept for the engine's
+        life.
+        """
+        if self._routes is None:
+            halves = (self.tiled, self.deferred_engine)
+            routes = self._method_plan.value_routes(self._plan.tileset.entry_perm)
+            self._routes = tuple(
+                None if half is None else compose_route(self._nnz, self._data_perm, r)
+                for half, r in zip(halves, routes)
+            )
+        return self._routes
 
     def update_values(self, values) -> "TileSpMV":
         """Fast path: new numbers, unchanged sparsity pattern.
@@ -576,9 +618,15 @@ class TileSpMV:
         ``values`` is either a sparse matrix with the *same* pattern or
         the length-``nnz`` value array in canonical CSR order.  The tile
         decomposition, format selection, DeferredCOO extraction and warp
-        schedule are all kept; only the payload value slots are
-        re-encoded.  Returns ``self`` (updated in place; the previous
-        payloads are left untouched for any cached plan sharing them).
+        schedule are all kept.  Each half's operand takes its values
+        with one gather through :meth:`value_routes` (a copy where the
+        route is the identity, as for ``csr``/``adpt`` without a
+        reorder) into a new array, so the caller's array is never held.
+        The payloads are re-encoded from the operand only when a
+        consumer reads them (``run_cost``, ``profile``, ``serialize``,
+        ``validate``, the tuner); products never do.  Returns ``self``
+        (updated in place; the previous halves are left untouched for
+        any cached plan or clone sharing them).
         """
         ref_indptr = (
             self._orig_indptr if self.reorder is not None else self._indptr
@@ -598,25 +646,18 @@ class TileSpMV:
                     "sparsity pattern differs from the prepared matrix; "
                     "build a new TileSpMV instead of update_values"
                 )
-            data = csr.data
+            data = np.asarray(csr.data, dtype=np.float64)
         else:
             data = np.asarray(values, dtype=np.float64)
             if data.shape != (self._nnz,):
                 raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        if self.reorder is not None:
-            # Values arrive in the caller's (original) canonical entry
-            # order; the plan stores them in permuted canonical order.
-            data = data[self._data_perm]
-        new_view_val = data[self._plan.tileset.entry_perm]
-        if self._tiled_src is not None or self._deferred_src is not None:
-            if self.tiled is not None:
-                self.tiled = self.tiled.with_values(new_view_val[self._tiled_src])
-            if self.deferred_engine is not None:
-                self.deferred_engine = self.deferred_engine.with_values(
-                    new_view_val[self._deferred_src]
-                )
-        elif self.tiled is not None:
-            self.tiled = self.tiled.with_values(new_view_val)
+        tiled_route, deferred_route = self.value_routes()
+        if self.tiled is not None:
+            self.tiled = self.tiled.with_values(take_route(data, tiled_route))
+        if self.deferred_engine is not None:
+            self.deferred_engine = self.deferred_engine.with_values(
+                take_route(data, deferred_route)
+            )
         self._deferred_transpose = None
         return self
 

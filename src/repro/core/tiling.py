@@ -104,8 +104,7 @@ class TileSet:
 
         ``new_view_val`` must be in the tile-sorted (view) order.  The
         level-1 arrays and local coordinates are shared by reference —
-        only the value array is replaced — so this is the cheap half of
-        the ``update_values`` fast path: no sort, no tiling.
+        only the value array is replaced: no sort, no tiling.
         """
         new_view_val = np.asarray(new_view_val, dtype=np.float64)
         if new_view_val.shape != self.view.val.shape:

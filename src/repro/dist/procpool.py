@@ -1069,19 +1069,20 @@ class ProcessShardedSpMV(ShardedSpMV):
     spmv = ShardedSpMV.spmv
     spmm = ShardedSpMV.spmm
 
-    def _apply_values(self, slices: list[np.ndarray]) -> None:
-        super()._apply_values(slices)
+    def _apply_values(self, data: np.ndarray) -> None:
+        super()._apply_values(data)
         # Refresh the canonical shard blocks (the wire payload for any
         # future respawn) and stream the new values to live workers.
-        for block, vals in zip(self._shard_blocks, slices):
-            block.data[:] = vals
+        selectors = self._value_selectors()
+        for block, sel in zip(self._shard_blocks, selectors):
+            block.data[:] = data[sel]
         sup = self._supervisor
         if sup is None or self._backend_state != "process":
             return
         for s in self.partition.shards:
             if not sup.healthy(s.index):
                 continue
-            vals = slices[s.index]
+            vals = data[selectors[s.index]]
             seg = sup.ensure_x(max(vals.nbytes, 8))
             view = np.ndarray((vals.size,), dtype=np.float64, buffer=seg.buf)
             view[: vals.size] = vals

@@ -544,14 +544,14 @@ class RecoverableShardedSpMV(ShardedSpMV):
                        k=x.shape[1] if x.ndim == 2 else None):
             return self._restarting(super().spmm, x)
 
-    def _apply_values(self, slices: list[np.ndarray]) -> None:
-        """The parent's value routing, then re-arm checks and parity."""
-        super()._apply_values(slices)
-        data = np.empty(self._nnz)
-        for sel, vals in zip(self._value_selectors(), slices):
-            data[sel] = vals
+    def _apply_values(self, data: np.ndarray) -> None:
+        """The parent's value routing, then re-arm checks and parity.
+
+        Keeps a copy of ``data``: the caller may reuse its array.
+        """
+        super()._apply_values(data)
         self._csr = sp.csr_matrix(
-            (data, self._indices, self._indptr), shape=self.shape
+            (data.copy(), self._indices, self._indptr), shape=self.shape
         )
         self._init_checks()
         self._build_parity()

@@ -46,7 +46,8 @@ the single-engine product, on every grid shape:
   single-device products, and ``op.T @ x`` is the single-device
   transpose (scipy's CSC matvec sums each column in ascending row
   order, the canonical transpose order).  Its structure is built once
-  per plan; its values are refilled after :meth:`update_values`.
+  per plan; :meth:`update_values` refills its values with one gather
+  from the caller's array.
 * Calls with a shard-level or GPU-substrate campaign armed, and the
   recovery ladder's verified streams, instead take **ordered
   contribution replay** (:meth:`replay_contribs`,
@@ -90,7 +91,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry as tele
-from repro.core.plancache import PlanCache
+from repro.core.plancache import PlanCache, compose_route, take_route
 from repro.core.storage import stream_structure
 from repro.core.tilespmv import METHODS, TileSpMV
 from repro.dist import faults as shard_faults
@@ -319,10 +320,12 @@ class ShardedSpMV:
         # clock; the recovery ladder charges them to its deadline).
         self.shard_delay_s = [0.0] * len(self.engines)
         # The replay operand (see _replay_operand): per half, the stack
-        # structure (kept for the plan's life) and the operands (dropped
-        # by update_values, refilled on the next overlapping product).
+        # structure, the operand and the route that refills it from the
+        # canonical value array (_operand_routes).  Built on first use,
+        # kept for the plan's life.
         self._stack: list | None = None
         self._operand: list | None = None
+        self._op_routes: list | None = None
         if tele.ENABLED:
             tele.count("sharded_builds_total", shards=shards, method=self.method)
             tele.set_gauge("sharded_imbalance", self.partition.imbalance())
@@ -668,20 +671,12 @@ class ShardedSpMV:
     def _shard_operands(self, half: int) -> list:
         """Per shard, ``None`` or one half's cached CSR ``(indptr, indices, data)``.
 
-        Shard-local coordinates: the tiled half's
-        :class:`~repro.core.storage.TileMatrix` operand, or the deferred
-        engine's CSR arrays — the :meth:`TileSpMV.decode_streams` entries,
-        each row in the order its single-device kernel sums it.
+        Shard-local coordinates (:meth:`TileSpMV.operands`): the tiled
+        half's :class:`~repro.core.storage.TileMatrix` operand, or the
+        deferred engine's CSR arrays — each row in the order its
+        single-device kernel sums it.
         """
-        out = []
-        for e in self.engines:
-            stream = e.decode_streams()[half]
-            if stream is None:
-                out.append(None)
-            else:
-                op = e.tiled._op if half == 0 else e.deferred_engine
-                out.append((op.indptr, op.indices, op.data))
-        return out
+        return [e.operands()[half] for e in self.engines]
 
     def _stack_structure(self, parts: list) -> tuple | None:
         """``(indptr, indices, gather)`` of one half's whole-matrix stack.
@@ -721,10 +716,10 @@ class ShardedSpMV:
         single-device order, so ``op @ x`` and ``op @ X`` are bit-for-bit
         the single-device products, and ``op.T @ x`` too — scipy's CSC
         matvec sums each column in ascending row order, the canonical
-        transpose order.  The structure is built once per plan; the
-        values are refilled on the first product after
-        :meth:`update_values`.  Only the fault-free path builds or runs
-        it, so it never holds corrupted values.
+        transpose order.  The structure is built once per plan;
+        :meth:`update_values` refills the values
+        (:meth:`_operand_routes`).  Only the fault-free path builds or
+        runs it, so it never holds corrupted values.
         """
         if self._operand is None:
             if self._stack is None:
@@ -745,6 +740,35 @@ class ShardedSpMV:
                 ops.append(sp.csr_matrix((vals, indices, indptr), shape=self.shape))
             self._operand = ops
         return self._operand
+
+    def _operand_routes(self) -> list:
+        """Per half, the replay operand's values as one gather.
+
+        An index into the canonical CSR value array (``None``: the
+        identity, as for 1D ``adpt``): each shard's value selector
+        composed with the shard engine's own route
+        (:meth:`TileSpMV.value_routes`), concatenated in grid order,
+        then the stack's gather.  Built on the first refill.
+        """
+        if self._op_routes is None:
+            routes = []
+            for half, stack in enumerate(self._stack):
+                if stack is None:
+                    routes.append(None)
+                    continue
+                parts = []
+                for e, sel, op in zip(
+                    self.engines, self._value_selectors(), self._shard_operands(half)
+                ):
+                    if op is None:
+                        continue
+                    if isinstance(sel, slice):
+                        sel = np.arange(sel.start, sel.stop)
+                    route = e.value_routes()[half]
+                    parts.append(sel if route is None else sel[route])
+                routes.append(compose_route(self._nnz, np.concatenate(parts), stack[2]))
+            self._op_routes = routes
+        return self._op_routes
 
     def replay_spmm_streams(self, streams, x: np.ndarray) -> np.ndarray:
         """Combine per-cell raw streams into the batched product.
@@ -937,7 +961,7 @@ class ShardedSpMV:
             data = np.asarray(values, dtype=np.float64)
             if data.shape != (self._nnz,):
                 raise ValueError(f"expected {self._nnz} values, got {data.shape}")
-        self._apply_values([data[sel] for sel in self._value_selectors()])
+        self._apply_values(data)
         return self
 
     def _value_selectors(self) -> list:
@@ -950,13 +974,20 @@ class ShardedSpMV:
             return self._nnz_idx
         return [slice(s.nnz_lo, s.nnz_hi) for s in self.partition.shards]
 
-    def _apply_values(self, slices: list[np.ndarray]) -> None:
-        """Hand each shard its value slice, checked by :meth:`update_values`."""
+    def _apply_values(self, data: np.ndarray) -> None:
+        """Refill every shard from the canonical ``data`` (checked by :meth:`update_values`).
+
+        Each shard takes its slice through its own route.  A built
+        replay operand is refilled through one composed gather
+        (:meth:`_operand_routes`) rather than dropped.
+        """
         with tele.span("sharded_update_values", cat="build", shards=self.shards):
-            for engine, vals in zip(self.engines, slices):
-                engine.update_values(vals)
-        # The replay operand holds the old values; its structure stays.
-        self._operand = None
+            for engine, sel in zip(self.engines, self._value_selectors()):
+                engine.update_values(data[sel])
+            if self._operand is not None:
+                for op, route in zip(self._operand, self._operand_routes()):
+                    if op is not None:
+                        op.data = take_route(data, route)
 
     # -- lifecycle ---------------------------------------------------------
 
