@@ -20,13 +20,19 @@ def row_gather_sectors(indptr: np.ndarray, indices: np.ndarray) -> int:
     the same 32-byte sector of ``x`` coalesce; across rows they do not
     (each row is handled by different lanes at a different time), so the
     reuse is left to the L2 model.
+
+    Requires canonical CSR order, i.e. the output of
+    :func:`~repro.reliability.validation.canonicalize_csr`: indices
+    sorted within each row (under every policy; a duplicate entry only
+    repeats a key).  The (row, sector) key is then non-decreasing, so
+    the distinct pairs are its runs, counted without a sort.
     """
     if indices.size == 0:
         return 0
     rows = repeat_offsets(np.asarray(indptr, dtype=np.int64))
     n_sectors = int(indices.max()) // X_SECTOR_DOUBLES + 1
     key = rows * n_sectors + indices.astype(np.int64) // X_SECTOR_DOUBLES
-    return int(np.unique(key).size)
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def csr_payload_bytes(m: int, nnz: int) -> int:

@@ -70,13 +70,12 @@ def _distinct_sectors_per_tile(lcol: np.ndarray, offsets: np.ndarray) -> int:
     """Total distinct x sectors actually touched, per tile, summed.
 
     Used by the COO and DnsCol kernels, which gather only the columns
-    they need rather than staging the whole window.
+    they need rather than staging the whole window.  The distinct
+    (tile, sector) pairs are the occupied cells of one bincount, so no
+    sort is needed.
     """
-    if lcol.size == 0:
-        return 0
-    tile_of_entry = repeat_offsets(offsets)
-    key = tile_of_entry * 8 + lcol.astype(np.int64) // X_SECTOR_DOUBLES
-    return int(np.unique(key).size)
+    key = repeat_offsets(offsets) * 8 + lcol.astype(np.int64) // X_SECTOR_DOUBLES
+    return int(np.count_nonzero(np.bincount(key)))
 
 
 def csr_costs(data: TileCSRData, params: KernelCostParams, eff_w: np.ndarray) -> TileKernelCost:
@@ -103,28 +102,19 @@ def coo_costs(data: TileCOOData, params: KernelCostParams) -> TileKernelCost:
     """
     counts = np.diff(data.offsets)
     batches = -(-counts // WARP_SIZE)
-    lrow, _ = unpack_nibble_pairs(data.rowcol)
+    lrow, lcol = unpack_nibble_pairs(data.rowcol)
     n = data.n_tiles
-    rounds = np.zeros(n, dtype=np.int64)
-    if lrow.size:
-        tile_of_entry = repeat_offsets(data.offsets)
-        per_row = np.zeros((n, 16), dtype=np.int64)
-        np.add.at(per_row, (tile_of_entry, lrow.astype(np.int64)), 1)
-        rounds = per_row.max(axis=1)
+    key = repeat_offsets(data.offsets) * 16 + lrow.astype(np.int64)
+    rounds = np.bincount(key, minlength=n * 16).reshape(n, 16).max(axis=1)
     cycles = params.coo_overhead + params.coo_per_batch * batches + rounds
     return TileKernelCost(
         cycles=cycles,
         payload_bytes=data.nbytes_model(),
-        x_sectors=_distinct_sectors_per_tile(*_coo_cols(data)),
+        x_sectors=_distinct_sectors_per_tile(lcol, data.offsets),
         flops=2.0 * data.nnz,
         atomic_ops=float(batches.sum()),
         atomic_rounds=float(rounds.sum()),
     )
-
-
-def _coo_cols(data: TileCOOData) -> tuple[np.ndarray, np.ndarray]:
-    _, lcol = unpack_nibble_pairs(data.rowcol)
-    return lcol, data.offsets
 
 
 def ell_costs(data: TileELLData, params: KernelCostParams, eff_w: np.ndarray) -> TileKernelCost:
@@ -187,11 +177,8 @@ def dnscol_costs(data: TileDnsColData, params: KernelCostParams) -> TileKernelCo
     work = data.n_cols() * data.eff_h.astype(np.int64)
     rounds = -(-work // WARP_SIZE)
     cycles = params.dnscol_overhead + params.dnscol_per_round * rounds
-    cols_per_tile = data.n_cols()
     # Gather only the occupied columns' x sectors.
-    col_tile = np.repeat(np.arange(data.n_tiles), cols_per_tile)
-    key = col_tile * 8 + data.colidx.astype(np.int64) // X_SECTOR_DOUBLES
-    x_sectors = int(np.unique(key).size) if key.size else 0
+    x_sectors = _distinct_sectors_per_tile(data.colidx, data.col_offsets)
     return TileKernelCost(
         cycles=cycles,
         payload_bytes=data.nbytes_model(),

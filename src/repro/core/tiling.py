@@ -181,13 +181,19 @@ def tile_decompose(
     lcol = (cols % tile).astype(np.uint8)
     tile_cols_total = -(-n // tile)
     tile_key = trow * tile_cols_total + tcol
-    order = np.lexsort((lcol, lrow, tile_key))
+    # Canonical CSR is row-major with sorted indices, so a stable sort
+    # on the tile key alone leaves each tile's entries in (lrow, lcol)
+    # order; the tiles are then the runs of the sorted key.
+    order = np.argsort(tile_key, kind="stable")
     tile_key = tile_key[order]
     lrow = lrow[order]
     lcol = lcol[order]
     vals = vals[order]
-    uniq_keys, counts = np.unique(tile_key, return_counts=True)
-    offsets = lengths_to_offsets(counts)
+    run_start = np.ones(tile_key.size, dtype=bool)
+    run_start[1:] = tile_key[1:] != tile_key[:-1]
+    starts = np.flatnonzero(run_start)
+    uniq_keys = tile_key[starts]
+    offsets = np.append(starts, tile_key.size)
     tile_rowidx = uniq_keys // tile_cols_total
     tile_colidx = uniq_keys % tile_cols_total
     tile_rows_total = -(-m // tile)

@@ -96,17 +96,17 @@ class TilesView:
         ``int16`` keeps the whole-collection preprocessing footprint small
         (counts never exceed the tile size).
         """
-        t = self.tile_of_entry()
-        counts = np.zeros((self.n_tiles, self.tile), dtype=np.int16)
-        np.add.at(counts, (t, self.lrow.astype(np.int64)), 1)
-        return counts
+        return self._local_counts(self.lrow)
 
     def col_counts(self) -> np.ndarray:
         """(n_tiles, tile) matrix of per-local-column nonzero counts."""
-        t = self.tile_of_entry()
-        counts = np.zeros((self.n_tiles, self.tile), dtype=np.int16)
-        np.add.at(counts, (t, self.lcol.astype(np.int64)), 1)
-        return counts
+        return self._local_counts(self.lcol)
+
+    def _local_counts(self, local: np.ndarray) -> np.ndarray:
+        # One bincount over the flat (tile, local) cell index, no sort.
+        key = self.tile_of_entry() * self.tile + local.astype(np.int64)
+        counts = np.bincount(key, minlength=self.n_tiles * self.tile)
+        return counts.reshape(self.n_tiles, self.tile).astype(np.int16)
 
     def pos_in_row(self) -> np.ndarray:
         """Rank of each entry within its (tile, row) group.
